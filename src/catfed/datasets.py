@@ -102,8 +102,8 @@ def _read_header(f, path, magic_expected: int, n_dims: int) -> tuple[int, ...]:
     return values[1:]
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX image file into (n, 784) float64 rows scaled by 1/255."""
+def _read_idx_pixels(path) -> np.ndarray:
+    """Parse an IDX image file into (n, 784) uint8 rows."""
     path = Path(path)
     with open(path, "rb") as f:
         n, rows, cols = _read_header(f, path, IMAGE_MAGIC, 3)
@@ -116,8 +116,19 @@ def load_idx_images(path) -> np.ndarray:
         raise DataFormatError(
             f"{path}: payload holds {len(payload)} bytes, header promises {n * rows * cols}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, IMAGE_PIXELS)
-    return pixels.astype(np.float64) / 255.0
+    return np.frombuffer(payload, dtype=np.uint8).reshape(n, IMAGE_PIXELS)
+
+
+def _to_unit_float(pixels: np.ndarray) -> np.ndarray:
+    # One float64 array, divided in place: no second full-size temporary.
+    images = pixels.astype(np.float64)
+    images /= 255.0
+    return images
+
+
+def load_idx_images(path) -> np.ndarray:
+    """Parse an IDX image file into (n, 784) float64 rows scaled by 1/255."""
+    return _to_unit_float(_read_idx_pixels(path))
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -154,21 +165,22 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 
 def load_dataset(spec: DatasetSpec) -> LabeledDataset:
     """Load and validate one split; image/label counts must agree."""
-    images = load_idx_images(spec.images_path())
+    pixels = _read_idx_pixels(spec.images_path())
     labels = load_idx_labels(spec.labels_path())
-    if images.shape[0] != labels.shape[0]:
+    if pixels.shape[0] != labels.shape[0]:
         raise DataConsistencyError(
-            f"{spec.name}/{spec.split}: {images.shape[0]} images vs "
+            f"{spec.name}/{spec.split}: {pixels.shape[0]} images vs "
             f"{labels.shape[0]} labels"
         )
     if spec.name in TRANSPOSED_DATASETS:
-        images = (
-            images.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
+        # Transpose the bytes, before conversion, so no float64 copy is made.
+        pixels = (
+            pixels.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
             .transpose(0, 2, 1)
             .reshape(-1, IMAGE_PIXELS)
         )
     return LabeledDataset(
-        images=images,
+        images=_to_unit_float(pixels),
         labels=labels,
         num_categories=spec.num_categories,
         name=spec.name,

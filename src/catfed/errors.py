@@ -18,4 +18,5 @@ class ConfigError(ValueError):
 
 
 class RoundError(RuntimeError):
-    """A federated round could not proceed (e.g. selection returned no clients)."""
+    """A federated round could not proceed (e.g. selection returned no clients,
+    or a client's local training went non-finite)."""

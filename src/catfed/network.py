@@ -1,12 +1,15 @@
 """Dense feed-forward classifier trained with plain SGD.
 
-Float64 everywhere, ReLU hidden layers, softmax output.  Parameters are held
-in immutable arrays; every training step returns a fresh ModelParams, which is
-what lets concurrent client updates share one global model safely.
+Float64 everywhere, ReLU hidden layers, softmax output.  ModelParams holds
+read-only arrays.  client_update steps on plain per-layer arrays, each step
+making new ones, and wraps the result in a fresh ModelParams once at the end;
+the input model is never written, which is what lets concurrent client updates
+share one global model safely.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -109,12 +112,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=1, keepdims=True)
 
 
-def _forward_trace(model: ModelParams, batch: np.ndarray):
+def _forward_trace(weights, biases, batch: np.ndarray) -> list[np.ndarray]:
     # Returns per-layer inputs (post-activation) and the final probabilities.
     activations = [batch]
     a = batch
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
         z = a @ w.T + b
         a = _softmax(z) if l == last else np.maximum(z, 0.0)
         activations.append(a)
@@ -123,7 +126,8 @@ def _forward_trace(model: ModelParams, batch: np.ndarray):
 
 def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Class probabilities for each row of ``batch``; rows sum to 1."""
-    return _forward_trace(model, _check_batch(model, batch))[-1]
+    batch = _check_batch(model, batch)
+    return _forward_trace(model.weights, model.biases, batch)[-1]
 
 
 def _check_labels(model: ModelParams, labels: np.ndarray) -> np.ndarray:
@@ -136,13 +140,48 @@ def _check_labels(model: ModelParams, labels: np.ndarray) -> np.ndarray:
     return labels.astype(np.intp)
 
 
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    picked = probs[np.arange(len(labels)), labels]
+    return -np.log(np.maximum(picked, PROB_FLOOR))
+
+
 def per_sample_losses(model: ModelParams, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Cross-entropy of each sample against its label."""
     batch = _check_batch(model, batch)
     labels = _check_labels(model, labels)
-    probs = forward(model, batch)
-    picked = probs[np.arange(len(labels)), labels]
-    return -np.log(np.maximum(picked, PROB_FLOOR))
+    return _cross_entropy(forward(model, batch), labels)
+
+
+def _backprop(weights, biases, batch: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy of a checked, non-empty batch and its exact gradient.
+
+    Takes and returns per-layer lists of plain arrays: (loss, grad_w, grad_b).
+    """
+    n = batch.shape[0]
+    activations = _forward_trace(weights, biases, batch)
+    probs = activations[-1]
+    loss = float(_cross_entropy(probs, labels).mean())
+
+    # Output delta of softmax + cross-entropy; hidden deltas gated by ReLU.
+    # The probabilities are not needed after the loss, so they become the delta.
+    delta = probs
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+
+    grad_w = [np.empty(0)] * len(weights)
+    grad_b = [np.empty(0)] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        a_in = activations[l]
+        grad_w[l] = delta.T @ a_in
+        grad_b[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = delta @ weights[l]
+            delta = np.where(activations[l] > 0.0, delta, 0.0)
+    return loss, grad_w, grad_b
+
+
+def _descend(params, grads, learning_rate: float) -> list[np.ndarray]:
+    return [p - learning_rate * g for p, g in zip(params, grads)]
 
 
 def loss_and_grad(
@@ -151,37 +190,17 @@ def loss_and_grad(
     """Mean softmax cross-entropy and its exact gradient via backpropagation."""
     batch = _check_batch(model, batch)
     labels = _check_labels(model, labels)
-    n = batch.shape[0]
-    if n == 0:
+    if batch.shape[0] == 0:
         raise ValueError("batch is empty")
-
-    activations = _forward_trace(model, batch)
-    probs = activations[-1]
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
-
-    # Output delta of softmax + cross-entropy; hidden deltas gated by ReLU.
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-
-    grad_w = [np.empty(0)] * len(model.weights)
-    grad_b = [np.empty(0)] * len(model.weights)
-    for l in range(len(model.weights) - 1, -1, -1):
-        a_in = activations[l]
-        grad_w[l] = delta.T @ a_in
-        grad_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = delta @ model.weights[l]
-            delta = np.where(activations[l] > 0.0, delta, 0.0)
-
+    loss, grad_w, grad_b = _backprop(model.weights, model.biases, batch, labels)
     return loss, ModelParams(weights=tuple(grad_w), biases=tuple(grad_b))
 
 
 def sgd_step(model: ModelParams, grad: ModelParams, learning_rate: float) -> ModelParams:
-    weights = tuple(w - learning_rate * g for w, g in zip(model.weights, grad.weights))
-    biases = tuple(b - learning_rate * g for b, g in zip(model.biases, grad.biases))
-    return ModelParams(weights=weights, biases=biases)
+    return ModelParams(
+        weights=tuple(_descend(model.weights, grad.weights, learning_rate)),
+        biases=tuple(_descend(model.biases, grad.biases, learning_rate)),
+    )
 
 
 def client_update(
@@ -194,7 +213,9 @@ def client_update(
     """Local refinement: per epoch, shuffle, split into batches of B, SGD each.
 
     The last short batch is trained on rather than dropped.  The input model
-    is never touched; the updated copy is returned.
+    is never touched; the updated copy is returned.  A step whose loss is not
+    finite, or a final model that is not, raises FloatingPointError naming
+    the epoch (from 1), the batch's start offset and the last finite loss.
     """
     images = _check_batch(model, images)
     if images.shape[0] == 0:
@@ -203,15 +224,29 @@ def client_update(
     if labels.shape[0] != images.shape[0]:
         raise ValueError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
 
-    current = model
+    weights, biases = model.weights, model.biases
+    last_loss = None
     n = images.shape[0]
-    for _ in range(config.local_epochs):
+    for epoch in range(1, config.local_epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            _, grad = loss_and_grad(current, images[idx], labels[idx])
-            current = sgd_step(current, grad, config.learning_rate)
-    return current
+            loss, grad_w, grad_b = _backprop(weights, biases, images[idx], labels[idx])
+            if not math.isfinite(loss):
+                raise FloatingPointError(
+                    f"loss {loss} at epoch {epoch}, batch start {start} "
+                    f"(last finite loss {last_loss!r})"
+                )
+            last_loss = loss
+            weights = _descend(weights, grad_w, config.learning_rate)
+            biases = _descend(biases, grad_b, config.learning_rate)
+    try:
+        return ModelParams(weights=tuple(weights), biases=tuple(biases))
+    except ValueError as exc:
+        raise FloatingPointError(
+            f"{exc} after the step at epoch {epoch}, batch start {start} "
+            f"(last finite loss {last_loss!r})"
+        ) from exc
 
 
 def evaluate(model: ModelParams, images: np.ndarray, labels: np.ndarray) -> EvalReport:
@@ -220,8 +255,9 @@ def evaluate(model: ModelParams, images: np.ndarray, labels: np.ndarray) -> Eval
     if images.shape[0] == 0:
         raise ValueError("evaluation set is empty")
     labels = _check_labels(model, labels)
-    losses = per_sample_losses(model, images, labels)
-    predictions = np.argmax(forward(model, images), axis=1)
+    probs = forward(model, images)
+    losses = _cross_entropy(probs, labels)
+    predictions = np.argmax(probs, axis=1)
     accuracy = float(np.mean(predictions == labels))
 
     per_category: dict[int, tuple[float, int]] = {}

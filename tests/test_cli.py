@@ -196,6 +196,14 @@ class TestErrors:
         assert main(["run", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_diverging_run_reports_error(self, tmp_path, data_root, capsys):
+        cfg = write_config(tmp_path, data_root, learning_rate=1e300)
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "round 1, client" in err and "diverged" in err
+
     def test_bad_config_reports_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("strategy = powerd\n", encoding="utf-8")

@@ -128,6 +128,22 @@ class TestLoadDataset:
         assert grid[2, 5] == 0.0
         assert grid.sum() == 1.0
 
+    def test_femnist_load_equals_idx_images_transposed_bytewise(self, tmp_path):
+        rng = np.random.default_rng(5)
+        raw = rng.integers(0, 256, size=(7, 784), dtype=np.uint8)
+        spec = write_pair(
+            tmp_path, "femnist47", "test", raw, rng.integers(0, 47, 7).astype(np.uint8)
+        )
+        expected = (
+            load_idx_images(spec.images_path())
+            .reshape(-1, 28, 28)
+            .transpose(0, 2, 1)
+            .reshape(-1, 784)
+        )
+        images = load_dataset(spec).images
+        assert images.dtype == np.float64 and images.flags.c_contiguous
+        assert images.tobytes() == expected.tobytes()
+
     def test_mnist_images_not_transposed(self, tmp_path):
         img = np.zeros((28, 28), dtype=np.uint8)
         img[2, 5] = 255

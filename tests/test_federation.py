@@ -8,6 +8,7 @@ from catfed import (
     ExperimentConfig,
     ModelParams,
     RoundError,
+    TrainConfig,
     aggregate_weighted,
     check_loss_decomposition,
     clients_from_partition,
@@ -182,6 +183,16 @@ class TestRunExperiment:
             ExperimentConfig(strategy="fedavg_random", rounds=0)
         with pytest.raises(ValueError, match="client_fraction"):
             ExperimentConfig(strategy="fedavg_random", client_fraction=0.0)
+
+
+def test_diverging_client_raises_round_error_naming_round_and_client():
+    train_config = TrainConfig(learning_rate=1e300, batch_size=10)
+    cfg, train, part, test = small_setup(train=train_config)
+    with np.errstate(all="ignore"), pytest.raises(
+        RoundError, match=r"round 1, client \d+: training diverged: .*epoch 1, "
+        r"batch start \d+ \(last finite loss"
+    ):
+        run_experiment(cfg, train, part, test)
 
 
 class TestDecompositionDuringRuns:

@@ -191,7 +191,7 @@ class TestSgdAndClientUpdate:
                 _, g = loss_and_grad(manual, x[idx], y[idx])
                 manual = sgd_step(manual, g, cfg.learning_rate)
 
-        for a, b in zip(got.weights, manual.weights):
+        for a, b in zip(got.weights + got.biases, manual.weights + manual.biases):
             assert np.array_equal(a, b)
 
     def test_input_model_untouched(self):
@@ -234,7 +234,56 @@ class TestSgdAndClientUpdate:
             )
 
 
+class TestDivergence:
+    def test_non_finite_loss_names_epoch_batch_and_last_finite_loss(self):
+        rng = np.random.default_rng(3)
+        model = init_model([5, 4, 3], rng)
+        x = rng.standard_normal((12, 5))
+        y = rng.integers(0, 3, 12)
+        cfg = TrainConfig(learning_rate=1e300, batch_size=4)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as info:
+            client_update(model, x, y, cfg, np.random.default_rng(0))
+        message = str(info.value)
+        assert "epoch 1, batch start 4" in message
+        first = np.random.default_rng(0).permutation(12)[:4]
+        first_loss, _ = loss_and_grad(model, x[first], y[first])
+        assert f"last finite loss {first_loss!r}" in message
+
+    def test_non_finite_weights_after_the_last_step_are_named(self):
+        # One batch, a finite loss, then an update that overflows.
+        rng = np.random.default_rng(4)
+        model = init_model([5, 3], rng)
+        x = 1e3 * rng.standard_normal((4, 5))
+        y = np.array([0, 1, 2, 0])
+        cfg = TrainConfig(learning_rate=1e308, batch_size=4)
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"non-finite parameters after the step at "
+            r"epoch 1, batch start 0 \(last finite loss [0-9.e+-]+\)"
+        ):
+            client_update(model, x, y, cfg, np.random.default_rng(0))
+
+
 class TestEvaluate:
+    def test_equals_per_sample_losses_and_forward_argmax_exactly(self):
+        rng = np.random.default_rng(9)
+        model = init_model([6, 7, 5], rng)
+        x = rng.standard_normal((50, 6))
+        y = rng.integers(0, 4, 50)  # category 4 absent
+        report = evaluate(model, x, y)
+
+        losses = per_sample_losses(model, x, y)
+        predictions = np.argmax(forward(model, x), axis=1)
+        assert report.accuracy == float(np.mean(predictions == y))
+        expected = {
+            c: (float(losses[y == c].sum()), int((y == c).sum())) for c in range(4)
+        }
+        assert report.per_category_loss == expected
+        summed = 0.0
+        for c in range(4):
+            summed += expected[c][0]
+        assert report.summed_loss == summed
+        assert report.total_loss == summed / 50
+
     def test_per_category_sums_reproduce_total_exactly(self):
         rng = np.random.default_rng(6)
         model = init_model([5, 8, 4], rng)
