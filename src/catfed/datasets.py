@@ -3,7 +3,9 @@
 File layout under a root directory follows ``<name>-<split>-images.idx`` and
 ``<name>-<split>-labels.idx``.  The IDX container is big-endian: a magic word
 (0x00000803 for images, 0x00000801 for labels), dimension sizes, then raw
-unsigned bytes.  Images come back as float64 rows in [0, 1] (pixel / 255).
+unsigned bytes.  Images stay as those bytes: a loaded split holds C-contiguous
+uint8 rows of 784 pixels, 8x smaller than float64, and the network reads a
+uint8 row as pixel / 255 (see ``network._check_batch``).
 """
 
 from __future__ import annotations
@@ -62,7 +64,12 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Paired (num_samples x 784) float64 images in [0,1] and integer labels."""
+    """Paired (num_samples x features) images and integer labels.
+
+    ``load_dataset`` fills ``images`` with uint8 IDX pixels; float64 feature
+    rows are accepted too.  The network reads either kind (uint8 as
+    pixel / 255), so the rows are never converted up front.
+    """
 
     images: np.ndarray
     labels: np.ndarray
@@ -102,8 +109,8 @@ def _read_header(f, path, magic_expected: int, n_dims: int) -> tuple[int, ...]:
     return values[1:]
 
 
-def _read_idx_pixels(path) -> np.ndarray:
-    """Parse an IDX image file into (n, 784) uint8 rows."""
+def load_idx_images(path) -> np.ndarray:
+    """Parse an IDX image file into the (n, 784) uint8 pixels it holds."""
     path = Path(path)
     with open(path, "rb") as f:
         n, rows, cols = _read_header(f, path, IMAGE_MAGIC, 3)
@@ -117,18 +124,6 @@ def _read_idx_pixels(path) -> np.ndarray:
             f"{path}: payload holds {len(payload)} bytes, header promises {n * rows * cols}"
         )
     return np.frombuffer(payload, dtype=np.uint8).reshape(n, IMAGE_PIXELS)
-
-
-def _to_unit_float(pixels: np.ndarray) -> np.ndarray:
-    # One float64 array, divided in place: no second full-size temporary.
-    images = pixels.astype(np.float64)
-    images /= 255.0
-    return images
-
-
-def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX image file into (n, 784) float64 rows scaled by 1/255."""
-    return _to_unit_float(_read_idx_pixels(path))
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -164,8 +159,12 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 
 
 def load_dataset(spec: DatasetSpec) -> LabeledDataset:
-    """Load and validate one split; image/label counts must agree."""
-    pixels = _read_idx_pixels(spec.images_path())
+    """Load and validate one split; image/label counts must agree.
+
+    ``images`` holds the file's uint8 pixels as C-contiguous (n, 784) rows,
+    transposed for TRANSPOSED_DATASETS.
+    """
+    pixels = load_idx_images(spec.images_path())
     labels = load_idx_labels(spec.labels_path())
     if pixels.shape[0] != labels.shape[0]:
         raise DataConsistencyError(
@@ -173,14 +172,13 @@ def load_dataset(spec: DatasetSpec) -> LabeledDataset:
             f"{labels.shape[0]} labels"
         )
     if spec.name in TRANSPOSED_DATASETS:
-        # Transpose the bytes, before conversion, so no float64 copy is made.
         pixels = (
             pixels.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
             .transpose(0, 2, 1)
             .reshape(-1, IMAGE_PIXELS)
         )
     return LabeledDataset(
-        images=_to_unit_float(pixels),
+        images=pixels,
         labels=labels,
         num_categories=spec.num_categories,
         name=spec.name,

@@ -1,10 +1,12 @@
 """Dense feed-forward classifier trained with plain SGD.
 
-Float64 everywhere, ReLU hidden layers, softmax output.  ModelParams holds
-read-only arrays.  client_update steps on plain per-layer arrays, each step
-making new ones, and wraps the result in a fresh ModelParams once at the end;
-the input model is never written, which is what lets concurrent client updates
-share one global model safely.
+Float64 arithmetic, ReLU hidden layers, softmax output.  Input rows may be
+uint8 IDX pixels, read as pixel / 255 at the one conversion site
+(``_check_batch``), or any other numeric rows, read as float64.  ModelParams
+holds read-only arrays.  client_update steps in place on one private copy of
+the weights and wraps it in a fresh ModelParams once at the end; the input
+model is never written, which is what lets concurrent client updates share
+one global model safely.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROB_FLOOR = 1e-12  # clamp before log so empty-probability classes stay finite
+
+# evaluate runs forward on chunks of this many rows, so only one chunk is ever
+# held as float64; per-row results are the same bits as one full-size pass.
+EVAL_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -96,14 +102,22 @@ def init_model(architecture: list[int], rng: np.random.Generator) -> ModelParams
     return ModelParams(weights=tuple(weights), biases=tuple(biases))
 
 
-def _check_batch(model: ModelParams, batch: np.ndarray) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
+def _check_rows(model: ModelParams, batch: np.ndarray) -> np.ndarray:
+    batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != model.weights[0].shape[1]:
         raise ValueError(
             f"batch shape {batch.shape} incompatible with input width "
             f"{model.weights[0].shape[1]}"
         )
     return batch
+
+
+def _check_batch(model: ModelParams, batch: np.ndarray) -> np.ndarray:
+    """The checked batch as float64; uint8 pixels are read as pixel / 255."""
+    batch = _check_rows(model, batch)
+    if batch.dtype == np.uint8:
+        return batch / 255.0
+    return batch.astype(np.float64, copy=False)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -125,7 +139,10 @@ def _forward_trace(weights, biases, batch: np.ndarray) -> list[np.ndarray]:
 
 
 def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Class probabilities for each row of ``batch``; rows sum to 1."""
+    """Class probabilities for each row of ``batch``; rows sum to 1.
+
+    A uint8 batch is read as pixel / 255, anything else as float64.
+    """
     batch = _check_batch(model, batch)
     return _forward_trace(model.weights, model.biases, batch)[-1]
 
@@ -180,10 +197,6 @@ def _backprop(weights, biases, batch: np.ndarray, labels: np.ndarray):
     return loss, grad_w, grad_b
 
 
-def _descend(params, grads, learning_rate: float) -> list[np.ndarray]:
-    return [p - learning_rate * g for p, g in zip(params, grads)]
-
-
 def loss_and_grad(
     model: ModelParams, batch: np.ndarray, labels: np.ndarray
 ) -> tuple[float, ModelParams]:
@@ -198,8 +211,8 @@ def loss_and_grad(
 
 def sgd_step(model: ModelParams, grad: ModelParams, learning_rate: float) -> ModelParams:
     return ModelParams(
-        weights=tuple(_descend(model.weights, grad.weights, learning_rate)),
-        biases=tuple(_descend(model.biases, grad.biases, learning_rate)),
+        weights=tuple(w - learning_rate * g for w, g in zip(model.weights, grad.weights)),
+        biases=tuple(b - learning_rate * g for b, g in zip(model.biases, grad.biases)),
     )
 
 
@@ -212,6 +225,7 @@ def client_update(
 ) -> ModelParams:
     """Local refinement: per epoch, shuffle, split into batches of B, SGD each.
 
+    uint8 ``images`` are read as pixel / 255, converted once for the call.
     The last short batch is trained on rather than dropped.  The input model
     is never touched; the updated copy is returned.  A step whose loss is not
     finite, or a final model that is not, raises FloatingPointError naming
@@ -224,22 +238,28 @@ def client_update(
     if labels.shape[0] != images.shape[0]:
         raise ValueError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
 
-    weights, biases = model.weights, model.biases
+    # One private copy, stepped in place: ``g *= lr; p -= g`` rounds exactly
+    # as ``p - lr * g`` does.
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    params = weights + biases
     last_loss = None
     n = images.shape[0]
     for epoch in range(1, config.local_epochs + 1):
         order = rng.permutation(n)
+        xs, ys = images[order], labels[order]
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, grad_w, grad_b = _backprop(weights, biases, images[idx], labels[idx])
+            stop = start + config.batch_size
+            loss, grad_w, grad_b = _backprop(weights, biases, xs[start:stop], ys[start:stop])
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"loss {loss} at epoch {epoch}, batch start {start} "
                     f"(last finite loss {last_loss!r})"
                 )
             last_loss = loss
-            weights = _descend(weights, grad_w, config.learning_rate)
-            biases = _descend(biases, grad_b, config.learning_rate)
+            for p, g in zip(params, grad_w + grad_b):
+                g *= config.learning_rate
+                p -= g
     try:
         return ModelParams(weights=tuple(weights), biases=tuple(biases))
     except ValueError as exc:
@@ -250,14 +270,25 @@ def client_update(
 
 
 def evaluate(model: ModelParams, images: np.ndarray, labels: np.ndarray) -> EvalReport:
-    """Argmax accuracy plus the per-category loss decomposition."""
-    images = _check_batch(model, images)
-    if images.shape[0] == 0:
+    """Argmax accuracy plus the per-category loss decomposition.
+
+    Runs ``forward`` on EVAL_CHUNK_ROWS rows at a time, so uint8 ``images``
+    (read as pixel / 255) are converted one chunk at a time.
+    """
+    images = _check_rows(model, images)
+    n = images.shape[0]
+    if n == 0:
         raise ValueError("evaluation set is empty")
     labels = _check_labels(model, labels)
-    probs = forward(model, images)
-    losses = _cross_entropy(probs, labels)
-    predictions = np.argmax(probs, axis=1)
+    if labels.shape[0] != n:
+        raise ValueError(f"{n} images vs {labels.shape[0]} labels")
+    losses = np.empty(n)
+    predictions = np.empty(n, dtype=np.intp)
+    for start in range(0, n, EVAL_CHUNK_ROWS):
+        stop = start + EVAL_CHUNK_ROWS
+        probs = forward(model, images[start:stop])
+        losses[start:stop] = _cross_entropy(probs, labels[start:stop])
+        predictions[start:stop] = np.argmax(probs, axis=1)
     accuracy = float(np.mean(predictions == labels))
 
     per_category: dict[int, tuple[float, int]] = {}
@@ -273,10 +304,10 @@ def evaluate(model: ModelParams, images: np.ndarray, labels: np.ndarray) -> Eval
 
     return EvalReport(
         accuracy=accuracy,
-        total_loss=summed / images.shape[0],
+        total_loss=summed / n,
         summed_loss=summed,
         per_category_loss=per_category,
-        num_samples=images.shape[0],
+        num_samples=n,
         num_categories=model.num_classes,
     )
 
@@ -293,21 +324,45 @@ def save_model(model: ModelParams, path) -> None:
 
 
 def load_model(path) -> ModelParams:
+    """Read a save_model checkpoint; a malformed one raises ValueError naming ``path``."""
     with open(path, "rb") as f:
-        raw = f.read(4)
-        if len(raw) < 4:
-            raise ValueError(f"{path}: truncated header")
-        (n_widths,) = struct.unpack("<i", raw)
-        if n_widths < 2:
-            raise ValueError(f"{path}: invalid width count {n_widths}")
-        arch = list(struct.unpack(f"<{n_widths}i", f.read(4 * n_widths)))
-        weights = []
-        biases = []
-        for fan_in, fan_out in zip(arch[:-1], arch[1:]):
-            w = np.frombuffer(f.read(8 * fan_out * fan_in), dtype="<f8")
-            b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
-            if w.size != fan_out * fan_in or b.size != fan_out:
-                raise ValueError(f"{path}: truncated layer payload")
-            weights.append(w.reshape(fan_out, fan_in).copy())
-            biases.append(b.copy())
-    return ModelParams(weights=tuple(weights), biases=tuple(biases))
+        data = f.read()
+    if len(data) < 4:
+        raise ValueError(f"{path}: truncated header")
+    (n_widths,) = struct.unpack_from("<i", data)
+    if n_widths < 2:
+        raise ValueError(f"{path}: invalid width count {n_widths}")
+    offset = 4 + 4 * n_widths
+    if len(data) < offset:
+        raise ValueError(
+            f"{path}: truncated header: {n_widths} widths need {offset} bytes, "
+            f"file has {len(data)}"
+        )
+    arch = list(struct.unpack_from(f"<{n_widths}i", data, 4))
+    if min(arch) < 1:
+        raise ValueError(f"{path}: layer widths must be positive, got {arch}")
+    layers = list(zip(arch[:-1], arch[1:]))
+    expected = offset + 8 * sum(fan_out * (fan_in + 1) for fan_in, fan_out in layers)
+    if len(data) < expected:
+        raise ValueError(
+            f"{path}: truncated layer payload: architecture {arch} needs "
+            f"{expected} bytes, file has {len(data)}"
+        )
+    if len(data) > expected:
+        raise ValueError(
+            f"{path}: {len(data) - expected} trailing bytes after the last layer "
+            f"of architecture {arch}"
+        )
+    weights = []
+    biases = []
+    for fan_in, fan_out in layers:
+        w = np.frombuffer(data, dtype="<f8", count=fan_out * fan_in, offset=offset)
+        offset += w.nbytes
+        b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
+        offset += b.nbytes
+        weights.append(w.reshape(fan_out, fan_in).astype(np.float64))
+        biases.append(b.astype(np.float64))
+    try:
+        return ModelParams(weights=tuple(weights), biases=tuple(biases))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -520,32 +520,65 @@ def save_partition(partition: ClientPartition, path) -> None:
 
 
 def load_partition(path, labels: np.ndarray) -> ClientPartition:
-    """Rebuild a partition from its export; masks are recomputed from ``labels``."""
+    """Rebuild a partition from its export; masks are recomputed from ``labels``.
+
+    An export that does not match its own header or ``labels`` is rejected
+    with a ValueError naming the file and the offending line.
+    """
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or not text[0].startswith("# catfed-partition "):
         raise ValueError(f"{path}: missing partition header")
-    fields = dict(
-        item.split("=", 1) for item in text[0].removeprefix("# catfed-partition ").split()
-    )
-    imbalance = None
-    if fields["imbalance"] != "none":
-        raw_count, raw_ratio = fields["imbalance"].split(":")
-        imbalance = (int(raw_count), float(raw_ratio))
-    spec = DistributionSpec(
-        kind=fields["kind"],
-        num_clients=int(fields["num_clients"]),
-        samples_per_client=int(fields["samples_per_client"]),
-        imbalance=imbalance,
-        seed=int(fields["seed"]),
-    )
-    num_categories = int(fields["num_categories"])
+    try:
+        fields = dict(
+            item.split("=", 1)
+            for item in text[0].removeprefix("# catfed-partition ").split()
+        )
+        imbalance = None
+        if fields["imbalance"] != "none":
+            raw_count, raw_ratio = fields["imbalance"].split(":")
+            imbalance = (int(raw_count), float(raw_ratio))
+        spec = DistributionSpec(
+            kind=fields["kind"],
+            num_clients=int(fields["num_clients"]),
+            samples_per_client=int(fields["samples_per_client"]),
+            imbalance=imbalance,
+            seed=int(fields["seed"]),
+        )
+        num_categories = int(fields["num_categories"])
+    except KeyError as exc:
+        raise ValueError(f"{path}:1: header lacks {exc.args[0]}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from exc
+    if labels.size and int(labels.max()) >= num_categories:
+        raise ValueError(
+            f"{path}:1: num_categories={num_categories}, but the labels reach "
+            f"category {int(labels.max())}"
+        )
 
     assignments = []
-    for line in text[1:]:
+    for number, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
-        _, _, rest = line.partition(":")
-        assignments.append(np.array([int(tok) for tok in rest.split()], dtype=np.int64))
+        where = f"{path}:{number}"
+        head, _, rest = line.partition(":")
+        try:
+            client = int(head)
+            assigned = np.array([int(tok) for tok in rest.split()], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        if client != len(assignments):
+            raise ValueError(f"{where}: client {client}, expected client {len(assignments)}")
+        if assigned.size != spec.samples_per_client:
+            raise ValueError(
+                f"{where}: client {client} has {assigned.size} samples, header says "
+                f"samples_per_client={spec.samples_per_client}"
+            )
+        outside = assigned[(assigned < 0) | (assigned >= labels.size)]
+        if outside.size:
+            raise ValueError(
+                f"{where}: sample index {int(outside[0])} outside [0, {labels.size})"
+            )
+        assignments.append(assigned)
     if len(assignments) != spec.num_clients:
         raise ValueError(
             f"{path}: {len(assignments)} client lines, header says {spec.num_clients}"

@@ -32,9 +32,8 @@ class TestIdxRoundTrip:
         write_idx_images(path, raw)
         loaded = load_idx_images(path)
         assert loaded.shape == (15, 784)
-        assert loaded.dtype == np.float64
-        assert np.array_equal((loaded * 255).round().astype(np.uint8), raw)
-        assert loaded.min() >= 0.0 and loaded.max() <= 1.0
+        assert loaded.dtype == np.uint8
+        assert loaded.tobytes() == raw.tobytes()
 
     def test_labels_round_trip(self, tmp_path):
         labels = np.array([0, 3, 9, 9, 1], dtype=np.uint8)
@@ -97,6 +96,16 @@ class TestLoadDataset:
         assert ds.num_categories == 10
         assert ds.class_counts().sum() == 30
 
+    @pytest.mark.parametrize("name", ["mnist", "femnist47"])
+    def test_images_stay_idx_bytes(self, tmp_path, name):
+        # Guards against a float64 copy of the split creeping back in.
+        rng = np.random.default_rng(6)
+        images = rng.integers(0, 256, size=(9, 784), dtype=np.uint8)
+        spec = write_pair(tmp_path, name, "train", images, np.zeros(9, dtype=np.uint8))
+        loaded = load_dataset(spec).images
+        assert loaded.dtype == np.uint8 and loaded.flags.c_contiguous
+        assert loaded.nbytes == 9 * 784
+
     def test_count_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(2)
         spec = DatasetSpec("mnist", "train", tmp_path)
@@ -124,9 +133,9 @@ class TestLoadDataset:
         )
         ds = load_dataset(spec)
         grid = ds.images[0].reshape(28, 28)
-        assert grid[5, 2] == 1.0
-        assert grid[2, 5] == 0.0
-        assert grid.sum() == 1.0
+        assert grid[5, 2] == 255
+        assert grid[2, 5] == 0
+        assert int(grid.sum()) == 255
 
     def test_femnist_load_equals_idx_images_transposed_bytewise(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -141,7 +150,7 @@ class TestLoadDataset:
             .reshape(-1, 784)
         )
         images = load_dataset(spec).images
-        assert images.dtype == np.float64 and images.flags.c_contiguous
+        assert images.dtype == np.uint8 and images.flags.c_contiguous
         assert images.tobytes() == expected.tobytes()
 
     def test_mnist_images_not_transposed(self, tmp_path):
@@ -152,7 +161,8 @@ class TestLoadDataset:
             img.reshape(1, 784), np.array([0], dtype=np.uint8),
         )
         grid = load_dataset(spec).images[0].reshape(28, 28)
-        assert grid[2, 5] == 1.0
+        assert grid[2, 5] == 255
+        assert int(grid.sum()) == 255
 
     def test_unknown_name_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown dataset"):

@@ -1,7 +1,10 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catfed import (
     EvalReport,
@@ -15,7 +18,7 @@ from catfed import (
     loss_and_grad,
     save_model,
 )
-from catfed.network import per_sample_losses, sgd_step
+from catfed.network import EVAL_CHUNK_ROWS, _cross_entropy, per_sample_losses, sgd_step
 
 
 def fd_gradient(model, batch, labels, h=1e-4):
@@ -284,6 +287,33 @@ class TestEvaluate:
         assert report.summed_loss == summed
         assert report.total_loss == summed / 50
 
+    # Under one chunk, exactly one, one row past it, and a ragged last chunk.
+    @pytest.mark.parametrize(
+        "rows", [1, EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS, EVAL_CHUNK_ROWS + 1, 1100]
+    )
+    def test_chunked_equals_one_pass_forward_reference_exactly(self, rows):
+        rng = np.random.default_rng(9)
+        model = init_model([6, 7, 5], rng)
+        x = rng.standard_normal((rows, 6))
+        y = rng.integers(0, 4, rows)  # category 4 absent
+        report = evaluate(model, x, y)
+
+        probs = forward(model, x)
+        losses = _cross_entropy(probs, y)
+        predictions = np.argmax(probs, axis=1)
+        assert report.accuracy == float(np.mean(predictions == y))
+        present = [int(c) for c in np.unique(y)]
+        expected = {
+            c: (float(losses[y == c].sum()), int((y == c).sum())) for c in present
+        }
+        assert report.per_category_loss == expected
+        summed = 0.0
+        for c in present:
+            summed += expected[c][0]
+        assert report.summed_loss == summed
+        assert report.total_loss == summed / rows
+        assert report.num_samples == rows
+
     def test_per_category_sums_reproduce_total_exactly(self):
         rng = np.random.default_rng(6)
         model = init_model([5, 8, 4], rng)
@@ -297,6 +327,12 @@ class TestEvaluate:
         assert report.total_loss == pytest.approx(report.summed_loss / 40, rel=1e-15)
         counts = sum(n for _, n in report.per_category_loss.values())
         assert counts == report.num_samples == 40
+
+    def test_label_count_mismatch_rejected(self):
+        # One label would otherwise broadcast over every row's loss.
+        model = init_model([3, 2], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="5 images vs 1 labels"):
+            evaluate(model, np.zeros((5, 3)), np.array([1]))
 
     def test_absent_category_has_no_entry(self):
         rng = np.random.default_rng(7)
@@ -352,6 +388,107 @@ class TestCheckpointFormat:
         path.write_bytes(b"\x01\x00\x00\x00")
         with pytest.raises(ValueError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (struct.pack("<4i", 3, 4, 0, 2), r"layer widths must be positive, got \[4, 0, 2\]"),
+            (struct.pack("<2i", 3, 4), "truncated header: 3 widths need 16 bytes"),
+        ],
+        ids=["zero-width", "short-width-list"],
+    )
+    def test_bad_widths_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "w.bin"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
+            load_model(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(init_model([4, 3], np.random.default_rng(0)), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: 1 trailing bytes"):
+            load_model(path)
+
+    def test_non_finite_weights_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(struct.pack("<3i", 2, 1, 1) + struct.pack("<2d", math.inf, 0.0))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: layer 0: non-finite"):
+            load_model(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("checkpoints") / "model.bin"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_round_trip_property(checkpoint_path, widths, seed):
+    rng = np.random.default_rng(seed)
+    model = ModelParams(
+        weights=tuple(
+            rng.standard_normal((o, i)) * 10.0 ** rng.integers(-300, 300)
+            for i, o in zip(widths[:-1], widths[1:])
+        ),
+        biases=tuple(rng.standard_normal(o) for o in widths[1:]),
+    )
+    save_model(model, checkpoint_path)
+    loaded = load_model(checkpoint_path)
+    assert loaded.architecture == widths
+    for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=200) | st.builds(
+    lambda widths, tail: struct.pack(f"<{len(widths) + 1}i", len(widths), *widths) + tail,
+    st.lists(st.integers(-2, 4), min_size=0, max_size=4),
+    st.binary(max_size=200),
+))
+def test_arbitrary_bytes_load_or_raise_value_error(checkpoint_path, raw):
+    # Whatever the bytes, load_model either refuses them with a ValueError or
+    # returns a model that saves back to exactly those bytes.
+    checkpoint_path.write_bytes(raw)
+    try:
+        model = load_model(checkpoint_path)
+    except ValueError as exc:
+        assert str(checkpoint_path) in str(exc)
+        return
+    save_model(model, checkpoint_path)
+    assert checkpoint_path.read_bytes() == raw
+
+
+class TestUint8Rows:
+    """uint8 rows are IDX pixels: every entry point reads them as pixel / 255."""
+
+    @pytest.fixture
+    def pixels(self):
+        rng = np.random.default_rng(12)
+        return rng.integers(0, 256, size=(70, 20), dtype=np.uint8), rng.integers(0, 5, 70)
+
+    @pytest.fixture
+    def model(self):
+        return init_model([20, 8, 5], np.random.default_rng(13))
+
+    def test_forward(self, model, pixels):
+        x, _ = pixels
+        assert np.array_equal(forward(model, x), forward(model, x / 255.0))
+
+    def test_evaluate(self, model, pixels):
+        x, y = pixels
+        assert evaluate(model, x, y) == evaluate(model, x / 255.0, y)
+
+    def test_client_update(self, model, pixels):
+        x, y = pixels
+        cfg = TrainConfig(learning_rate=0.05, batch_size=16, local_epochs=2)
+        got = client_update(model, x, y, cfg, np.random.default_rng(5))
+        want = client_update(model, x / 255.0, y, cfg, np.random.default_rng(5))
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
 
 
 def test_eval_report_is_plain_data():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,55 @@ class TestExport:
         path.write_text("0: 1 2 3\n")
         with pytest.raises(ValueError, match="header"):
             load_partition(path, np.zeros(4, dtype=int))
+
+
+GOOD_HEADER = (
+    "# catfed-partition kind=D1 num_clients=2 samples_per_client=3 seed=0 "
+    "num_categories=10 imbalance=none"
+)
+
+
+class TestExportRejections:
+    """A bad export is refused with a ValueError naming the file and line."""
+
+    LABELS = np.arange(10)
+
+    def load(self, tmp_path, header=GOOD_HEADER, second="1: 3 4 5"):
+        path = tmp_path / "part.txt"
+        path.write_text(f"{header}\n0: 0 1 2\n{second}\n", encoding="utf-8")
+        return path, lambda: load_partition(path, self.LABELS)
+
+    def test_hand_written_export_loads(self, tmp_path):
+        _, load = self.load(tmp_path)
+        part = load()
+        assert [a.tolist() for a in part.assignments] == [[0, 1, 2], [3, 4, 5]]
+
+    @pytest.mark.parametrize(
+        "second, line, message",
+        [
+            ("1: 3 -1 5", 3, r"sample index -1 outside \[0, 10\)"),
+            ("1: 3 4 10", 3, r"sample index 10 outside \[0, 10\)"),
+            ("1: 3 4", 3, "client 1 has 2 samples, header says samples_per_client=3"),
+            ("7: 3 4 5", 3, "client 7, expected client 1"),
+            ("1: 3 four 5", 3, "invalid literal"),
+        ],
+        ids=["negative-index", "index-past-end", "sample-count", "client-order", "token"],
+    )
+    def test_bad_client_line(self, tmp_path, second, line, message):
+        path, load = self.load(tmp_path, second=second)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:{line}: {message}"):
+            load()
+
+    def test_num_categories_below_labels(self, tmp_path):
+        header = GOOD_HEADER.replace("num_categories=10", "num_categories=9")
+        path, load = self.load(tmp_path, header=header)
+        with pytest.raises(
+            ValueError,
+            match=f"{re.escape(str(path))}:1: num_categories=9, but the labels reach category 9",
+        ):
+            load()
+
+    def test_missing_header_field(self, tmp_path):
+        path, load = self.load(tmp_path, header=GOOD_HEADER.replace(" seed=0", ""))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: header lacks seed"):
+            load()
