@@ -50,7 +50,6 @@ class RunConfig:
     server_cost: float = 0.0
     minority_categories: int = 0
     minority_ratio: float = 0.1
-    refresh_metadata: bool = False
     seeds: int = 1
     output: str = "results.csv"
 
@@ -98,15 +97,7 @@ class RunConfig:
             ),
             cost=CostModel(client_cost=self.client_cost, server_cost=self.server_cost),
             seed=self.seed if seed is None else seed,
-            refresh_metadata=self.refresh_metadata,
         )
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    raise ValueError(f"expected true or false, got {raw!r}")
 
 
 def _parse_optional_int(raw: str) -> int | None:
@@ -136,7 +127,6 @@ _PARSERS = {
     "server_cost": float,
     "minority_categories": int,
     "minority_ratio": float,
-    "refresh_metadata": _parse_bool,
     "seeds": int,
     "output": str,
 }
@@ -181,8 +171,6 @@ def serialize_config(config: RunConfig) -> str:
         value = getattr(config, f.name)
         if value is None:
             rendered = "none"
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
         elif isinstance(value, float):
             rendered = repr(value)
         else:

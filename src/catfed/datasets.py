@@ -3,13 +3,19 @@
 File layout under a root directory follows ``<name>-<split>-images.idx`` and
 ``<name>-<split>-labels.idx``.  The IDX container is big-endian: a magic word
 (0x00000803 for images, 0x00000801 for labels), dimension sizes, then raw
-unsigned bytes.  Images stay as those bytes: a loaded split holds C-contiguous
-uint8 rows of 784 pixels, 8x smaller than float64, and the network reads a
-uint8 row as pixel / 255 (see ``network._check_batch``).
+unsigned bytes.  Images stay as those bytes: a loaded split holds read-only,
+C-contiguous uint8 rows of 784 pixels, 8x smaller than float64, and the
+network reads a uint8 row as pixel / 255 (see ``network._Workspace``).
+
+A load holds one copy of the split.  The header's count is checked against
+the file's size before anything is allocated, the payload is read straight
+into one preallocated array, and a transposed dataset is fixed in place,
+block by block.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +41,8 @@ DATASET_CLASSES = {
 # EMNIST-derived files store each image transposed relative to MNIST; fix at
 # load time so every dataset shares the same orientation.
 TRANSPOSED_DATASETS = {"femnist47"}
+# Images per block when transposing a loaded split in place.
+_TRANSPOSE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -109,21 +117,38 @@ def _read_header(f, path, magic_expected: int, n_dims: int) -> tuple[int, ...]:
     return values[1:]
 
 
+def _read_payload(f, path, count: int, item_bytes: int, what: str) -> np.ndarray:
+    """The ``count`` items of ``item_bytes`` bytes left in ``f``, read into one array.
+
+    The header's count is checked against the file's size before anything
+    is allocated, so a corrupt count is refused rather than allocated.
+    """
+    if count < 0:
+        raise DataFormatError(f"{path}: header promises a negative count of {what}: {count}")
+    expected = count * item_bytes
+    available = os.fstat(f.fileno()).st_size - f.tell()
+    if available != expected:
+        raise DataFormatError(
+            f"{path}: payload holds {available} bytes, header promises "
+            f"{expected} ({count} {what})"
+        )
+    out = np.empty((count, item_bytes), dtype=np.uint8)
+    got = f.readinto(out.reshape(-1))
+    if got != expected:
+        raise DataFormatError(f"{path}: read {got} payload bytes, expected {expected}")
+    return out
+
+
 def load_idx_images(path) -> np.ndarray:
     """Parse an IDX image file into the (n, 784) uint8 pixels it holds."""
     path = Path(path)
     with open(path, "rb") as f:
         n, rows, cols = _read_header(f, path, IMAGE_MAGIC, 3)
-        if rows * cols != IMAGE_PIXELS:
+        if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
             raise DataFormatError(
                 f"{path}: image size {rows}x{cols} != {IMAGE_SIDE}x{IMAGE_SIDE}"
             )
-        payload = f.read()
-    if len(payload) != n * rows * cols:
-        raise DataFormatError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {n * rows * cols}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(n, IMAGE_PIXELS)
+        return _read_payload(f, path, n, IMAGE_PIXELS, "images")
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -131,12 +156,7 @@ def load_idx_labels(path) -> np.ndarray:
     path = Path(path)
     with open(path, "rb") as f:
         (n,) = _read_header(f, path, LABEL_MAGIC, 1)
-        payload = f.read()
-    if len(payload) != n:
-        raise DataFormatError(
-            f"{path}: payload holds {len(payload)} labels, header promises {n}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        return _read_payload(f, path, n, 1, "labels").reshape(n).astype(np.int64)
 
 
 def write_idx_images(path, pixels: np.ndarray) -> None:
@@ -158,11 +178,23 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
         f.write(labels.astype(np.uint8).tobytes())
 
 
+def _transpose_in_place(pixels: np.ndarray) -> None:
+    """Transpose each 28x28 image of ``pixels`` in place, one block of rows at
+    a time, so the only temporary is one block."""
+    grids = pixels.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
+    block = np.empty((min(len(grids), _TRANSPOSE_BLOCK), IMAGE_SIDE, IMAGE_SIDE), np.uint8)
+    for start in range(0, len(grids), _TRANSPOSE_BLOCK):
+        rows = grids[start : start + _TRANSPOSE_BLOCK]
+        staged = block[: len(rows)]
+        np.copyto(staged, rows.transpose(0, 2, 1))
+        np.copyto(rows, staged)
+
+
 def load_dataset(spec: DatasetSpec) -> LabeledDataset:
     """Load and validate one split; image/label counts must agree.
 
-    ``images`` holds the file's uint8 pixels as C-contiguous (n, 784) rows,
-    transposed for TRANSPOSED_DATASETS.
+    ``images`` holds the file's uint8 pixels as read-only, C-contiguous
+    (n, 784) rows, transposed for TRANSPOSED_DATASETS.
     """
     pixels = load_idx_images(spec.images_path())
     labels = load_idx_labels(spec.labels_path())
@@ -172,11 +204,8 @@ def load_dataset(spec: DatasetSpec) -> LabeledDataset:
             f"{labels.shape[0]} labels"
         )
     if spec.name in TRANSPOSED_DATASETS:
-        pixels = (
-            pixels.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
-            .transpose(0, 2, 1)
-            .reshape(-1, IMAGE_PIXELS)
-        )
+        _transpose_in_place(pixels)
+    pixels.flags.writeable = False
     return LabeledDataset(
         images=pixels,
         labels=labels,

@@ -8,6 +8,12 @@ sample-count-weighted average of the returned weights.  The global model is
 then scored on the held-out test set and the round is logged together with
 its communication cost.
 
+The average is streamed: the weights are fixed from the selected clients'
+sample counts before training, and each update is folded into one running
+sum as soon as its client returns, in ascending client id.  A round holds
+the global model, that sum and one update, however many clients it selects,
+and the result is the same bits as ``aggregate_weighted`` over the list.
+
 Everything is driven by one experiment seed.  Model init, the random
 baseline's draws, and each client's shuffling use independent streams derived
 from (seed, stream tag, round, client id), so results are reproducible
@@ -81,7 +87,6 @@ class ExperimentConfig:
     cost: CostModel = field(default_factory=CostModel)
     seed: int = 0
     metadata_pool: tuple[int, ...] | None = None
-    refresh_metadata: bool = False
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -143,31 +148,61 @@ def metadata_round(
     return sorted(((c.client_id, c.mask) for c in chosen), key=lambda item: item[0])
 
 
+class _RunningAverage:
+    """FedAvg folded one update at a time: ``acc = c_0 * p_0``, then
+    ``acc += c_i * p_i`` in the order the updates arrive.
+
+    That is the rounding order of ``sum(c * p for ...)``, so the result is
+    the same bits as summing the whole list at once, while only the running
+    sum and one scratch product per layer are held.
+    """
+
+    def __init__(self) -> None:
+        self._acc: list[np.ndarray] = []
+        self._scratch: list[np.ndarray] = []
+
+    def add(self, coef: float, params: ModelParams) -> None:
+        arrays = params.weights + params.biases
+        if not self._acc:
+            self._acc = [coef * p for p in arrays]
+            self._scratch = [np.empty_like(p) for p in arrays]
+            return
+        for acc, scratch, p in zip(self._acc, self._scratch, arrays):
+            acc += np.multiply(coef, p, out=scratch)
+
+    def result(self) -> ModelParams:
+        layers = len(self._acc) // 2
+        return ModelParams(
+            weights=tuple(self._acc[:layers]), biases=tuple(self._acc[layers:])
+        )
+
+
+def _coefficients(weights) -> np.ndarray:
+    weights = np.asarray(weights, dtype=np.float64)
+    if np.any(weights <= 0):
+        raise RoundError("aggregation weights must be positive")
+    return weights / weights.sum()
+
+
 def aggregate_weighted(
     params: list[ModelParams], weights: list[float] | np.ndarray
 ) -> ModelParams:
-    """Elementwise average of parameter sets, weighted and normalized."""
+    """Elementwise average of parameter sets, weighted and normalized.
+
+    The library form of the average ``run_round`` folds as clients return.
+    """
     if not params:
         raise RoundError("nothing to aggregate")
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(params),):
-        raise RoundError(f"{len(params)} updates but {weights.size} weights")
-    if np.any(weights <= 0):
-        raise RoundError("aggregation weights must be positive")
+    if np.shape(weights) != (len(params),):
+        raise RoundError(f"{len(params)} updates but {np.size(weights)} weights")
     arch = params[0].architecture
     for p in params[1:]:
         if p.architecture != arch:
             raise RoundError(f"architecture mismatch: {p.architecture} != {arch}")
-    coef = weights / weights.sum()
-    new_weights = tuple(
-        sum(c * p.weights[layer] for c, p in zip(coef, params))
-        for layer in range(len(arch) - 1)
-    )
-    new_biases = tuple(
-        sum(c * p.biases[layer] for c, p in zip(coef, params))
-        for layer in range(len(arch) - 1)
-    )
-    return ModelParams(weights=new_weights, biases=new_biases)
+    average = _RunningAverage()
+    for coef, p in zip(_coefficients(weights), params):
+        average.add(coef, p)
+    return average.result()
 
 
 def _fedavg_k(fraction: float, num_clients: int) -> int:
@@ -210,11 +245,13 @@ def run_round(
     selected_ids = tuple(pool[pos][0] for pos in result.selected)
 
     by_id = {c.client_id: c for c in clients}
-    updates: list[ModelParams] = []
-    weights: list[float] = []
-    for client_id in sorted(selected_ids):
-        client = by_id[client_id]
-        rng = derive_rng(config.seed, STREAM_CLIENT_UPDATE, round_index, client_id)
+    participants = [by_id[j] for j in sorted(selected_ids)]
+    # Each update is folded in as soon as its client returns, so a round
+    # holds the running average and one update, not one update per client.
+    average = _RunningAverage()
+    coefs = _coefficients([c.num_samples for c in participants])
+    for client, coef in zip(participants, coefs):
+        rng = derive_rng(config.seed, STREAM_CLIENT_UPDATE, round_index, client.client_id)
         try:
             update = client_update(
                 model,
@@ -225,17 +262,15 @@ def run_round(
             )
         except FloatingPointError as exc:
             raise RoundError(
-                f"round {round_index}, client {client_id}: training diverged: {exc}"
+                f"round {round_index}, client {client.client_id}: training diverged: {exc}"
             ) from exc
-        updates.append(update)
-        weights.append(float(client.num_samples))
-
-    new_model = aggregate_weighted(updates, weights)
+        average.add(coef, update)
+    new_model = average.result()
     report = evaluate(new_model, test_dataset.images, test_dataset.labels)
 
     covered = result.covered_count()
     round_cost, cumulative = ledger.record(
-        result.count, sum(by_id[j].num_samples for j in selected_ids)
+        result.count, sum(c.num_samples for c in participants)
     )
     record = RoundRecord(
         round_index=round_index,
@@ -275,8 +310,6 @@ def run_experiment(
     pool = metadata_round(clients, config.metadata_pool)
     records: list[RoundRecord] = []
     for round_index in range(1, config.rounds + 1):
-        if config.refresh_metadata and round_index > 1:
-            pool = metadata_round(clients, config.metadata_pool)
         model, record = run_round(
             config, model, clients, pool, train_dataset, test_dataset,
             ledger, round_index,

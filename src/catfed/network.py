@@ -1,12 +1,18 @@
 """Dense feed-forward classifier trained with plain SGD.
 
 Float64 arithmetic, ReLU hidden layers, softmax output.  Input rows may be
-uint8 IDX pixels, read as pixel / 255 at the one conversion site
-(``_check_batch``), or any other numeric rows, read as float64.  ModelParams
-holds read-only arrays.  client_update steps in place on one private copy of
-the weights and wraps it in a fresh ModelParams once at the end; the input
-model is never written, which is what lets concurrent client updates share
-one global model safely.
+uint8 IDX pixels, read as pixel / 255, or any other numeric rows, read as
+float64.  ModelParams holds read-only arrays.
+
+Every entry point runs the network through one ``_Workspace``: buffers for
+the float64 input rows, each layer's output, the backward deltas and the
+gradients, allocated once per call.  client_update gathers each batch into
+those buffers and steps in place on one private copy of the weights, then
+wraps it in a fresh ModelParams at the end; evaluate runs its chunks through
+them.  So a loop over batches or chunks allocates no array data, and its
+results are the same bits as the plain ``a @ w.T + b`` expressions.  The
+input model is never written, which is what lets concurrent client updates
+share one global model safely.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import numpy as np
 
 PROB_FLOOR = 1e-12  # clamp before log so empty-probability classes stay finite
 
-# evaluate runs forward on chunks of this many rows, so only one chunk is ever
-# held as float64; per-row results are the same bits as one full-size pass.
+# evaluate runs the network on chunks of this many rows, so only one chunk is
+# ever held as float64; per-row results are the same bits as one full pass.
 EVAL_CHUNK_ROWS = 512
 
 
@@ -112,43 +118,11 @@ def _check_rows(model: ModelParams, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _check_batch(model: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """The checked batch as float64; uint8 pixels are read as pixel / 255."""
-    batch = _check_rows(model, batch)
-    if batch.dtype == np.uint8:
-        return batch / 255.0
-    return batch.astype(np.float64, copy=False)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=1, keepdims=True)
-
-
-def _forward_trace(weights, biases, batch: np.ndarray) -> list[np.ndarray]:
-    # Returns per-layer inputs (post-activation) and the final probabilities.
-    activations = [batch]
-    a = batch
-    last = len(weights) - 1
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w.T + b
-        a = _softmax(z) if l == last else np.maximum(z, 0.0)
-        activations.append(a)
-    return activations
-
-
-def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Class probabilities for each row of ``batch``; rows sum to 1.
-
-    A uint8 batch is read as pixel / 255, anything else as float64.
-    """
-    batch = _check_batch(model, batch)
-    return _forward_trace(model.weights, model.biases, batch)[-1]
-
-
-def _check_labels(model: ModelParams, labels: np.ndarray) -> np.ndarray:
+def _check_labels(model: ModelParams, labels: np.ndarray, rows: int) -> np.ndarray:
+    """One class label per row, as intp."""
     labels = np.asarray(labels)
+    if labels.shape != (rows,):
+        raise ValueError(f"{rows} images vs {labels.size} labels")
     if labels.size and (labels.min() < 0 or labels.max() >= model.num_classes):
         raise ValueError(
             f"labels must be in [0, {model.num_classes}), got range "
@@ -157,56 +131,163 @@ def _check_labels(model: ModelParams, labels: np.ndarray) -> np.ndarray:
     return labels.astype(np.intp)
 
 
-def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    picked = probs[np.arange(len(labels)), labels]
-    return -np.log(np.maximum(picked, PROB_FLOOR))
+class _Workspace:
+    """Buffers for running one model on up to ``rows`` rows at a time.
+
+    A call builds one and then runs every batch or chunk in row slices of its
+    arrays, so a loop over batches allocates no array data.  Each in-place
+    step rounds exactly as the expression it stands for: ``a @ w.T + b``,
+    ``max(z, 0)``, softmax as ``exp(z - max) / sum``, and cross-entropy as
+    ``-log(max(p, PROB_FLOOR))``.  The backward buffers exist only when built
+    with ``train=True``.
+
+    numpy buffers an operand it broadcasts (up to 64 KiB per call), so a bias
+    or a row statistic is first copied out to full rows in ``spread`` and
+    every in-place operation works on equal shapes.
+    """
+
+    def __init__(self, weights, rows: int, train: bool = False) -> None:
+        fan_in = weights[0].shape[1]
+        widths = [w.shape[0] for w in weights]
+        self.x = np.empty((rows, fan_in))
+        self.outs = [np.empty((rows, width)) for width in widths]
+        self.row_stat = np.empty((rows, 1))
+        self.spread = np.empty(rows * max(widths))
+        # Flat offsets of each row's labelled probability in outs[-1].
+        self.row_starts = np.arange(rows) * widths[-1]
+        self.flat_index = np.empty(rows, dtype=np.intp)
+        self.picked = np.empty(rows)
+        if train:
+            self.pixels = np.empty((rows, fan_in), dtype=np.uint8)
+            self.labels = np.empty(rows, dtype=np.intp)
+            self.losses = np.empty(rows)
+            self.deltas = [np.empty((rows, width)) for width in widths[:-1]]
+            self.inactive = [np.empty((rows, width), dtype=bool) for width in widths[:-1]]
+            self.grad_w = [np.empty_like(w) for w in weights]
+            self.grad_b = [np.empty(width) for width in widths]
+
+    def convert(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` as float64: uint8 pixels are read as pixel / 255 into ``x``."""
+        if rows.dtype == np.float64:
+            return rows
+        x = self.x[: len(rows)]
+        np.copyto(x, rows, casting="unsafe")
+        if rows.dtype == np.uint8:
+            x /= 255.0
+        return x
+
+    def gather(self, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """``rows[index]`` as float64, for uint8 or float64 ``rows``."""
+        n = len(index)
+        # mode="clip" keeps np.take from buffering ``out``; index is in range.
+        if rows.dtype == np.uint8:
+            pixels = np.take(rows, index, axis=0, out=self.pixels[:n], mode="clip")
+            return self.convert(pixels)
+        return np.take(rows, index, axis=0, out=self.x[:n], mode="clip")
+
+    def forward(self, weights, biases, x: np.ndarray) -> np.ndarray:
+        """Class probabilities of float64 rows ``x``; layer l's output lands in outs[l]."""
+        n = x.shape[0]
+        a = x
+        last = len(weights) - 1
+        for l, (w, b) in enumerate(zip(weights, biases)):
+            z = np.matmul(a, w.T, out=self.outs[l][:n])
+            z += self._spread(b, z.shape)
+            if l < last:
+                np.maximum(z, 0.0, out=z)
+            else:
+                stat = self.row_stat[:n]
+                np.max(z, axis=1, keepdims=True, out=stat)
+                z -= self._spread(stat, z.shape)
+                np.exp(z, out=z)
+                np.sum(z, axis=1, keepdims=True, out=stat)
+                z /= self._spread(stat, z.shape)
+            a = z
+        return a
+
+    def _spread(self, values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+        """``values`` broadcast to ``shape`` as a contiguous array in ``spread``."""
+        out = self.spread[: shape[0] * shape[1]].reshape(shape)
+        np.copyto(out, values)
+        return out
+
+    def cross_entropy(self, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Loss of each row of the last forward pass against its label, into ``out``.
+
+        Leaves each row's labelled probability in ``picked``.
+        """
+        n = len(labels)
+        flat = np.add(self.row_starts[:n], labels, out=self.flat_index[:n])
+        picked = np.take(self.outs[-1], flat, out=self.picked[:n], mode="clip")
+        np.maximum(picked, PROB_FLOOR, out=out)
+        np.log(out, out=out)
+        return np.negative(out, out=out)
+
+    def backward(self, weights, x: np.ndarray, labels: np.ndarray) -> float:
+        """Mean cross-entropy of the last forward pass (on ``x``) and its exact
+        gradient, left in ``grad_w`` and ``grad_b``."""
+        n = x.shape[0]
+        loss = float(self.cross_entropy(labels, self.losses[:n]).mean())
+
+        # Output delta of softmax + cross-entropy; hidden deltas gated by ReLU.
+        # The probabilities are not needed after the loss, so they become the delta.
+        picked = self.picked[:n]
+        picked -= 1.0
+        np.put(self.outs[-1], self.flat_index[:n], picked, mode="clip")
+        delta = self.outs[-1][:n]
+        delta /= n
+
+        for l in range(len(weights) - 1, -1, -1):
+            a_in = x if l == 0 else self.outs[l - 1][:n]
+            np.matmul(delta.T, a_in, out=self.grad_w[l])
+            np.sum(delta, axis=0, out=self.grad_b[l])
+            if l > 0:
+                delta = np.matmul(delta, weights[l], out=self.deltas[l - 1][:n])
+                _relu_gate(delta, a_in, self.inactive[l - 1][:n])
+        return loss
+
+
+def _relu_gate(delta: np.ndarray, a: np.ndarray, inactive: np.ndarray) -> None:
+    """Zero ``delta`` where not (a > 0), in place, as ``np.where(a > 0.0, delta,
+    0.0)`` does: a NaN activation zeroes its delta too.  ``inactive`` is a
+    bool buffer of the same shape."""
+    np.greater(a, 0.0, out=inactive)
+    np.logical_not(inactive, out=inactive)
+    np.copyto(delta, 0.0, where=inactive)
+
+
+def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
+    """Class probabilities for each row of ``batch``; rows sum to 1.
+
+    A uint8 batch is read as pixel / 255, anything else as float64.
+    """
+    batch = _check_rows(model, batch)
+    ws = _Workspace(model.weights, batch.shape[0])
+    return ws.forward(model.weights, model.biases, ws.convert(batch))
 
 
 def per_sample_losses(model: ModelParams, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Cross-entropy of each sample against its label."""
-    batch = _check_batch(model, batch)
-    labels = _check_labels(model, labels)
-    return _cross_entropy(forward(model, batch), labels)
-
-
-def _backprop(weights, biases, batch: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy of a checked, non-empty batch and its exact gradient.
-
-    Takes and returns per-layer lists of plain arrays: (loss, grad_w, grad_b).
-    """
-    n = batch.shape[0]
-    activations = _forward_trace(weights, biases, batch)
-    probs = activations[-1]
-    loss = float(_cross_entropy(probs, labels).mean())
-
-    # Output delta of softmax + cross-entropy; hidden deltas gated by ReLU.
-    # The probabilities are not needed after the loss, so they become the delta.
-    delta = probs
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-
-    grad_w = [np.empty(0)] * len(weights)
-    grad_b = [np.empty(0)] * len(weights)
-    for l in range(len(weights) - 1, -1, -1):
-        a_in = activations[l]
-        grad_w[l] = delta.T @ a_in
-        grad_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = delta @ weights[l]
-            delta = np.where(activations[l] > 0.0, delta, 0.0)
-    return loss, grad_w, grad_b
+    batch = _check_rows(model, batch)
+    labels = _check_labels(model, labels, batch.shape[0])
+    ws = _Workspace(model.weights, batch.shape[0])
+    ws.forward(model.weights, model.biases, ws.convert(batch))
+    return ws.cross_entropy(labels, np.empty(batch.shape[0]))
 
 
 def loss_and_grad(
     model: ModelParams, batch: np.ndarray, labels: np.ndarray
 ) -> tuple[float, ModelParams]:
     """Mean softmax cross-entropy and its exact gradient via backpropagation."""
-    batch = _check_batch(model, batch)
-    labels = _check_labels(model, labels)
+    batch = _check_rows(model, batch)
+    labels = _check_labels(model, labels, batch.shape[0])
     if batch.shape[0] == 0:
         raise ValueError("batch is empty")
-    loss, grad_w, grad_b = _backprop(model.weights, model.biases, batch, labels)
-    return loss, ModelParams(weights=tuple(grad_w), biases=tuple(grad_b))
+    ws = _Workspace(model.weights, batch.shape[0], train=True)
+    x = ws.convert(batch)
+    ws.forward(model.weights, model.biases, x)
+    loss = ws.backward(model.weights, x, labels)
+    return loss, ModelParams(weights=tuple(ws.grad_w), biases=tuple(ws.grad_b))
 
 
 def sgd_step(model: ModelParams, grad: ModelParams, learning_rate: float) -> ModelParams:
@@ -225,41 +306,48 @@ def client_update(
 ) -> ModelParams:
     """Local refinement: per epoch, shuffle, split into batches of B, SGD each.
 
-    uint8 ``images`` are read as pixel / 255, converted once for the call.
-    The last short batch is trained on rather than dropped.  The input model
-    is never touched; the updated copy is returned.  A step whose loss is not
-    finite, or a final model that is not, raises FloatingPointError naming
-    the epoch (from 1), the batch's start offset and the last finite loss.
+    Each batch's rows are gathered into one batch buffer, uint8 ``images``
+    read as pixel / 255 there.  The last short batch is trained on rather
+    than dropped.  The input model is never touched; the updated copy is
+    returned.  A step whose loss is not finite, or a final model that is not,
+    raises FloatingPointError naming the epoch (from 1), the batch's start
+    offset and the last finite loss.
     """
-    images = _check_batch(model, images)
-    if images.shape[0] == 0:
+    images = _check_rows(model, images)
+    n = images.shape[0]
+    if n == 0:
         raise ValueError("client data is empty")
-    labels = _check_labels(model, labels)
-    if labels.shape[0] != images.shape[0]:
-        raise ValueError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
+    labels = _check_labels(model, labels, n)
+    if images.dtype != np.uint8:
+        images = images.astype(np.float64, copy=False)
 
     # One private copy, stepped in place: ``g *= lr; p -= g`` rounds exactly
     # as ``p - lr * g`` does.
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
-    params = weights + biases
+    ws = _Workspace(weights, min(n, config.batch_size), train=True)
+    steps = list(zip(weights + biases, ws.grad_w + ws.grad_b))
     last_loss = None
-    n = images.shape[0]
     for epoch in range(1, config.local_epochs + 1):
         order = rng.permutation(n)
-        xs, ys = images[order], labels[order]
         for start in range(0, n, config.batch_size):
-            stop = start + config.batch_size
-            loss, grad_w, grad_b = _backprop(weights, biases, xs[start:stop], ys[start:stop])
+            index = order[start : start + config.batch_size]
+            x = ws.gather(images, index)
+            ys = np.take(labels, index, out=ws.labels[: len(index)], mode="clip")
+            ws.forward(weights, biases, x)
+            loss = ws.backward(weights, x, ys)
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"loss {loss} at epoch {epoch}, batch start {start} "
                     f"(last finite loss {last_loss!r})"
                 )
             last_loss = loss
-            for p, g in zip(params, grad_w + grad_b):
+            for p, g in steps:
                 g *= config.learning_rate
                 p -= g
+    # Free the buffers before ModelParams checks the result, so the call's
+    # peak is the training loop's.
+    del ws, steps
     try:
         return ModelParams(weights=tuple(weights), biases=tuple(biases))
     except ValueError as exc:
@@ -272,30 +360,29 @@ def client_update(
 def evaluate(model: ModelParams, images: np.ndarray, labels: np.ndarray) -> EvalReport:
     """Argmax accuracy plus the per-category loss decomposition.
 
-    Runs ``forward`` on EVAL_CHUNK_ROWS rows at a time, so uint8 ``images``
-    (read as pixel / 255) are converted one chunk at a time.
+    Runs the network on EVAL_CHUNK_ROWS rows at a time in one workspace, so
+    uint8 ``images`` (read as pixel / 255) are converted one chunk at a time.
     """
     images = _check_rows(model, images)
     n = images.shape[0]
     if n == 0:
         raise ValueError("evaluation set is empty")
-    labels = _check_labels(model, labels)
-    if labels.shape[0] != n:
-        raise ValueError(f"{n} images vs {labels.shape[0]} labels")
+    labels = _check_labels(model, labels, n)
     losses = np.empty(n)
     predictions = np.empty(n, dtype=np.intp)
+    ws = _Workspace(model.weights, min(n, EVAL_CHUNK_ROWS))
     for start in range(0, n, EVAL_CHUNK_ROWS):
         stop = start + EVAL_CHUNK_ROWS
-        probs = forward(model, images[start:stop])
-        losses[start:stop] = _cross_entropy(probs, labels[start:stop])
-        predictions[start:stop] = np.argmax(probs, axis=1)
-    accuracy = float(np.mean(predictions == labels))
+        probs = ws.forward(model.weights, model.biases, ws.convert(images[start:stop]))
+        ws.cross_entropy(labels[start:stop], losses[start:stop])
+        np.argmax(probs, axis=1, out=predictions[start:stop])
+    accuracy = float(np.count_nonzero(predictions == labels) / n)
 
     per_category: dict[int, tuple[float, int]] = {}
     summed = 0.0
     for c in range(model.num_classes):
         mask = labels == c
-        count = int(mask.sum())
+        count = int(np.count_nonzero(mask))
         if count == 0:
             continue
         category_sum = float(losses[mask].sum())

@@ -12,7 +12,7 @@ import numpy as np
 # experiment that uses the affected stream.
 STREAM_MODEL_INIT = 1
 STREAM_SELECTION = 2
-STREAM_METADATA = 3
+# 3 was a metadata stream that nothing drew from; keep it unused.
 STREAM_CLIENT_UPDATE = 4
 STREAM_PARTITION = 5
 STREAM_IMBALANCE = 6

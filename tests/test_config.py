@@ -29,13 +29,11 @@ class TestParsing:
             "dataset = femnist47\n"
             "client_fraction = 0.25\n"
             "limit = 12\n"
-            "refresh_metadata = true\n"
             "data_root = /tmp/data\n"
         )
         assert cfg.dataset == "femnist47"
         assert cfg.client_fraction == 0.25
         assert cfg.limit == 12
-        assert cfg.refresh_metadata is True
         assert cfg.data_root == "/tmp/data"
 
     def test_none_literals(self):
@@ -61,10 +59,6 @@ class TestParsing:
     def test_bad_value_reports_line_and_key(self):
         with pytest.raises(ConfigError, match=r"line 2: bad value for 'rounds'"):
             parse_config("seed = 0\nrounds = fifty\n")
-
-    def test_bad_bool_rejected(self):
-        with pytest.raises(ConfigError, match="refresh_metadata"):
-            parse_config("refresh_metadata = yes\n")
 
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -123,7 +117,6 @@ class TestDerivedConfigs:
             client_cost=2.0,
             server_cost=5.0,
             seed=3,
-            refresh_metadata=True,
         )
         exp = cfg.experiment_config()
         assert exp.strategy == "cat_cost"
@@ -138,7 +131,6 @@ class TestDerivedConfigs:
         assert exp.cost.client_cost == 2.0
         assert exp.cost.server_cost == 5.0
         assert exp.seed == 3
-        assert exp.refresh_metadata is True
 
     def test_experiment_config_seed_override(self):
         assert RunConfig(seed=3).experiment_config(seed=8).seed == 8
@@ -154,7 +146,6 @@ class TestRoundTrip:
         text = serialize_config(RunConfig())
         assert "limit = none" in text
         assert "data_root = none" in text
-        assert "refresh_metadata = false" in text
         assert "client_fraction = 0.1" in text
 
     def test_default_round_trip(self):
@@ -168,7 +159,6 @@ class TestRoundTrip:
         learning_rate=st.floats(1e-5, 1.0, allow_nan=False),
         rounds=st.integers(1, 500),
         seeds=st.integers(1, 5),
-        refresh_metadata=st.booleans(),
         output=st.sampled_from(["results.csv", "out/run.csv"]),
     )
     def test_round_trip_is_identity(
@@ -180,7 +170,6 @@ class TestRoundTrip:
         learning_rate,
         rounds,
         seeds,
-        refresh_metadata,
         output,
     ):
         cfg = RunConfig(
@@ -191,7 +180,6 @@ class TestRoundTrip:
             learning_rate=learning_rate,
             rounds=rounds,
             seeds=seeds,
-            refresh_metadata=refresh_metadata,
             output=output,
         )
         assert parse_config(serialize_config(cfg)) == cfg

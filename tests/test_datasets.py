@@ -1,4 +1,6 @@
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,10 +80,56 @@ class TestIdxErrors:
         with pytest.raises(DataFormatError, match="header"):
             load_idx_labels(path)
 
+    @pytest.mark.parametrize("loader, header", [
+        (load_idx_images, struct.pack(">4i", IMAGE_MAGIC, -3, 28, 28)),
+        (load_idx_labels, struct.pack(">2i", LABEL_MAGIC, -3)),
+    ], ids=["images", "labels"])
+    def test_negative_count_rejected(self, tmp_path, loader, header):
+        path = tmp_path / "negative.idx"
+        path.write_bytes(header)
+        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: .*negative.* -3"):
+            loader(path)
+
+    @pytest.mark.parametrize("loader, header, payload, promised", [
+        (load_idx_images, struct.pack(">4i", IMAGE_MAGIC, 2, 28, 28), 3 * 784, 2 * 784),
+        (load_idx_labels, struct.pack(">2i", LABEL_MAGIC, 4), 3, 4),
+    ], ids=["images", "labels"])
+    def test_count_disagreeing_with_file_size_rejected(
+        self, tmp_path, loader, header, payload, promised
+    ):
+        path = tmp_path / "sized.idx"
+        path.write_bytes(header + b"\x00" * payload)
+        with pytest.raises(
+            DataFormatError,
+            match=f"{re.escape(str(path))}: payload holds {payload} bytes, "
+            f"header promises {promised}",
+        ):
+            loader(path)
+
+    def test_huge_count_rejected_before_allocating(self, tmp_path):
+        # 2^31 - 1 images would be 1.7 TB: refused from the file size, not
+        # attempted (which would be a MemoryError).
+        path = tmp_path / "huge.idx"
+        path.write_bytes(struct.pack(">4i", IMAGE_MAGIC, 2**31 - 1, 28, 28))
+        with pytest.raises(
+            DataFormatError,
+            match=f"{re.escape(str(path))}: payload holds 0 bytes, "
+            f"header promises {(2**31 - 1) * 784}",
+        ):
+            load_idx_images(path)
+
     def test_unexpected_geometry(self, tmp_path):
         path = tmp_path / "odd.idx"
         path.write_bytes(struct.pack(">4i", IMAGE_MAGIC, 1, 16, 16) + b"\x00" * 256)
         with pytest.raises(DataFormatError, match="16x16"):
+            load_idx_images(path)
+
+
+    @pytest.mark.parametrize("rows, cols", [(16, 49), (-28, -28)])
+    def test_784_pixels_in_another_shape_rejected(self, tmp_path, rows, cols):
+        path = tmp_path / "shape.idx"
+        path.write_bytes(struct.pack(">4i", IMAGE_MAGIC, 1, rows, cols) + b"\x00" * 784)
+        with pytest.raises(DataFormatError, match=f"{rows}x{cols} != 28x28"):
             load_idx_images(path)
 
 
@@ -105,6 +153,34 @@ class TestLoadDataset:
         loaded = load_dataset(spec).images
         assert loaded.dtype == np.uint8 and loaded.flags.c_contiguous
         assert loaded.nbytes == 9 * 784
+
+    @pytest.mark.parametrize("name", ["mnist", "femnist47"])
+    def test_loaded_images_are_read_only(self, tmp_path, name):
+        images = np.zeros((3, 784), dtype=np.uint8)
+        spec = write_pair(tmp_path, name, "train", images, np.zeros(3, dtype=np.uint8))
+        loaded = load_dataset(spec).images
+        with pytest.raises(ValueError, match="read-only"):
+            loaded[0, 0] = 1
+
+    @pytest.mark.parametrize("name", ["mnist", "femnist47"])
+    def test_load_holds_one_copy_of_the_split(self, tmp_path, name):
+        # The file's bytes are read straight into the array and femnist47 is
+        # transposed in place, so the peak is the loaded arrays themselves,
+        # not a second copy of the pixels.
+        rng = np.random.default_rng(7)
+        n = 20_000
+        spec = write_pair(
+            tmp_path, name, "train",
+            rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
+            rng.integers(0, 10, size=n).astype(np.uint8),
+        )
+        tracemalloc.start()
+        try:
+            ds = load_dataset(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (ds.images.nbytes + ds.labels.nbytes)
 
     def test_count_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(2)

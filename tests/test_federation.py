@@ -1,23 +1,30 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from catfed import (
     CategoryMask,
     ClientState,
+    CostLedger,
     DistributionSpec,
     ExperimentConfig,
+    LabeledDataset,
     ModelParams,
     RoundError,
     TrainConfig,
     aggregate_weighted,
     check_loss_decomposition,
+    client_update,
     clients_from_partition,
     evaluate_clients,
     generate_partition,
+    init_model,
     metadata_round,
     run_experiment,
 )
-from catfed.federation import _fedavg_k
+from catfed.federation import _fedavg_k, run_round
+from catfed.seeding import STREAM_CLIENT_UPDATE, derive_rng
 from conftest import make_dataset, make_pair
 
 
@@ -64,6 +71,93 @@ class TestAggregation:
             aggregate_weighted([a], [1.0, 1.0])
         with pytest.raises(RoundError):
             aggregate_weighted([], [])
+
+
+    def test_equals_summed_products_bitwise(self):
+        # The fold rounds as sum(c * p for ...) over the whole list does.
+        rng = np.random.default_rng(3)
+        models = [
+            ModelParams(weights=(rng.standard_normal((4, 3)),), biases=(rng.standard_normal(4),))
+            for _ in range(5)
+        ]
+        weights = np.array([60.0, 7.0, 600.0, 33.0, 1.0])
+        coef = weights / weights.sum()
+        merged = aggregate_weighted(models, weights)
+        want_w = sum(c * m.weights[0] for c, m in zip(coef, models))
+        want_b = sum(c * m.biases[0] for c, m in zip(coef, models))
+        assert merged.weights[0].tobytes() == want_w.tobytes()
+        assert merged.biases[0].tobytes() == want_b.tobytes()
+
+
+def round_inputs(num_clients, sizes, seed=0):
+    """Clients of the given sample counts over one uint8 train split."""
+    rng = np.random.default_rng(seed)
+    total = sum(sizes)
+    train = LabeledDataset(
+        images=rng.integers(0, 256, (total, 784), dtype=np.uint8),
+        labels=rng.integers(0, 10, total), num_categories=10, name="mnist",
+    )
+    test = LabeledDataset(
+        images=rng.integers(0, 256, (200, 784), dtype=np.uint8),
+        labels=rng.integers(0, 10, 200), num_categories=10, name="mnist",
+    )
+    bounds = np.cumsum([0, *sizes])
+    clients = tuple(
+        ClientState(j, np.arange(bounds[j], bounds[j + 1]), CategoryMask(0b1, 10))
+        for j in range(num_clients)
+    )
+    return train, test, clients
+
+
+class TestStreamedRound:
+    def test_round_equals_aggregate_weighted_of_the_updates_bitwise(self):
+        sizes = [37, 5, 64, 20, 11, 50]
+        train, test, clients = round_inputs(len(sizes), sizes)
+        config = ExperimentConfig(strategy="fedavg_random", client_fraction=1.0, seed=4)
+        model = init_model([784, 16, 10], np.random.default_rng(1))
+        new_model, record = run_round(
+            config, model, clients, metadata_round(clients), train, test,
+            CostLedger(config.cost), round_index=2,
+        )
+        assert record.selected == tuple(range(len(sizes)))
+        updates = [
+            client_update(
+                model, train.images[c.indices], train.labels[c.indices], config.train,
+                derive_rng(config.seed, STREAM_CLIENT_UPDATE, 2, c.client_id),
+            )
+            for c in clients
+        ]
+        want = aggregate_weighted(updates, [float(n) for n in sizes])
+        for got, expected in zip(
+            new_model.weights + new_model.biases, want.weights + want.biases
+        ):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_memory_does_not_grow_with_selected_clients(self):
+        # Each update is folded in as its client returns: a round that
+        # trains 40 clients peaks within three model sizes of one that
+        # trains 4 (holding every update would add 36).
+        train, test, clients = round_inputs(40, [20] * 40)
+        model = init_model([784, 100, 10], np.random.default_rng(1))
+        model_bytes = sum(a.nbytes for a in model.weights + model.biases)
+
+        def round_peak(fraction):
+            config = ExperimentConfig(strategy="fedavg_random", client_fraction=fraction)
+            pool = metadata_round(clients)
+            args = (config, model, clients, pool, train, test)
+            run_round(*args, CostLedger(config.cost), 1)  # warm up
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _, record = run_round(*args, CostLedger(config.cost), 1)
+                return record.selected_k, tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        few, few_peak = round_peak(0.1)
+        many, many_peak = round_peak(1.0)
+        assert (few, many) == (4, 40)
+        assert many_peak - few_peak <= 3 * model_bytes
 
 
 class TestMetadata:

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,55 @@ from catfed import (
     loss_and_grad,
     save_model,
 )
-from catfed.network import EVAL_CHUNK_ROWS, _cross_entropy, per_sample_losses, sgd_step
+from catfed.network import (
+    EVAL_CHUNK_ROWS,
+    PROB_FLOOR,
+    _relu_gate,
+    _Workspace,
+    per_sample_losses,
+    sgd_step,
+)
+
+
+# The network runs in preallocated buffers; these are the plain expressions
+# it must reproduce bit for bit.
+def reference_activations(weights, biases, x):
+    activations = [x]
+    a = x
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w.T + b
+        if l == last:
+            shifted = z - z.max(axis=1, keepdims=True)
+            exps = np.exp(shifted)
+            a = exps / exps.sum(axis=1, keepdims=True)
+        else:
+            a = np.maximum(z, 0.0)
+        activations.append(a)
+    return activations
+
+
+def reference_cross_entropy(probs, labels):
+    picked = probs[np.arange(len(labels)), labels]
+    return -np.log(np.maximum(picked, PROB_FLOOR))
+
+
+def reference_loss_and_grad(weights, biases, x, labels):
+    n = x.shape[0]
+    activations = reference_activations(weights, biases, x)
+    probs = activations[-1]
+    loss = float(reference_cross_entropy(probs, labels).mean())
+    delta = probs.copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grad_w = [None] * len(weights)
+    grad_b = [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        grad_w[l] = delta.T @ activations[l]
+        grad_b[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = np.where(activations[l] > 0.0, delta @ weights[l], 0.0)
+    return loss, grad_w, grad_b
 
 
 def fd_gradient(model, batch, labels, h=1e-4):
@@ -177,25 +226,43 @@ class TestSgdAndClientUpdate:
         assert np.allclose(stepped.biases[0], model.biases[0] - 0.2)
 
     def test_client_update_matches_manual_loop(self):
-        rng = np.random.default_rng(8)
-        model = init_model([5, 4, 3], rng)
-        x = rng.standard_normal((11, 5))
-        y = rng.integers(0, 3, 11)
-        cfg = TrainConfig(learning_rate=0.05, batch_size=4, local_epochs=2)
+        # A short last batch over two epochs, batches that divide the rows,
+        # one batch larger than the client, and uint8 pixel rows.
+        cases = [(11, 4, 2, False), (12, 4, 1, False), (5, 8, 2, False), (19, 6, 2, True)]
+        for rows, batch_size, epochs, pixels in cases:
+            rng = np.random.default_rng(8)
+            model = init_model([5, 4, 3], rng)
+            if pixels:
+                x = rng.integers(0, 256, (rows, 5), dtype=np.uint8)
+            else:
+                x = rng.standard_normal((rows, 5))
+            y = rng.integers(0, 3, rows)
+            cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, local_epochs=epochs)
 
-        got = client_update(model, x, y, cfg, np.random.default_rng(77))
+            got = client_update(model, x, y, cfg, np.random.default_rng(77))
 
-        manual = model
-        loop_rng = np.random.default_rng(77)
-        for _ in range(cfg.local_epochs):
-            order = loop_rng.permutation(11)
-            for start in range(0, 11, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                _, g = loss_and_grad(manual, x[idx], y[idx])
-                manual = sgd_step(manual, g, cfg.learning_rate)
+            manual = model
+            reference = [w.copy() for w in model.weights], [b.copy() for b in model.biases]
+            xf = x / 255.0 if pixels else x
+            loop_rng = np.random.default_rng(77)
+            for _ in range(cfg.local_epochs):
+                order = loop_rng.permutation(rows)
+                for start in range(0, rows, cfg.batch_size):
+                    idx = order[start : start + cfg.batch_size]
+                    _, g = loss_and_grad(manual, x[idx], y[idx])
+                    manual = sgd_step(manual, g, cfg.learning_rate)
+                    _, gw, gb = reference_loss_and_grad(*reference, xf[idx], y[idx])
+                    reference = (
+                        [w - cfg.learning_rate * g for w, g in zip(reference[0], gw)],
+                        [b - cfg.learning_rate * g for b, g in zip(reference[1], gb)],
+                    )
 
-        for a, b in zip(got.weights + got.biases, manual.weights + manual.biases):
-            assert np.array_equal(a, b)
+            for a, b, c in zip(
+                got.weights + got.biases,
+                manual.weights + manual.biases,
+                reference[0] + reference[1],
+            ):
+                assert np.array_equal(a, b) and a.tobytes() == c.tobytes()
 
     def test_input_model_untouched(self):
         rng = np.random.default_rng(2)
@@ -298,8 +365,9 @@ class TestEvaluate:
         y = rng.integers(0, 4, rows)  # category 4 absent
         report = evaluate(model, x, y)
 
-        probs = forward(model, x)
-        losses = _cross_entropy(probs, y)
+        probs = reference_activations(model.weights, model.biases, x)[-1]
+        assert forward(model, x).tobytes() == probs.tobytes()
+        losses = reference_cross_entropy(probs, y)
         predictions = np.argmax(probs, axis=1)
         assert report.accuracy == float(np.mean(predictions == y))
         present = [int(c) for c in np.unique(y)]
@@ -489,6 +557,93 @@ class TestUint8Rows:
         want = client_update(model, x / 255.0, y, cfg, np.random.default_rng(5))
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert np.array_equal(a, b)
+
+
+def test_relu_gate_matches_np_where_including_nan():
+    a = np.array([[np.nan, -1.0, 0.0, -0.0, 2.0, np.inf]])
+    delta = np.array([[3.0, -4.0, 5.0, 6.0, -7.0, 8.0]])
+    expected = np.where(a > 0.0, delta, 0.0)
+    _relu_gate(delta, a, np.empty(a.shape, dtype=bool))
+    assert delta.tobytes() == expected.tobytes()
+    assert delta.tolist() == [[0.0, 0.0, 0.0, 0.0, -7.0, 8.0]]
+
+
+def test_forward_and_loss_and_grad_match_plain_expressions_bitwise():
+    rng = np.random.default_rng(21)
+    model = init_model([9, 7, 6, 4], rng)
+    for x in (rng.standard_normal((13, 9)), rng.integers(0, 256, (13, 9), dtype=np.uint8)):
+        y = rng.integers(0, 4, 13)
+        xf = x / 255.0 if x.dtype == np.uint8 else x
+        activations = reference_activations(model.weights, model.biases, xf)
+        assert forward(model, x).tobytes() == activations[-1].tobytes()
+        assert per_sample_losses(model, x, y).tobytes() == (
+            reference_cross_entropy(activations[-1], y).tobytes()
+        )
+        loss, grad = loss_and_grad(model, x, y)
+        want_loss, want_w, want_b = reference_loss_and_grad(
+            model.weights, model.biases, xf, y
+        )
+        assert loss == want_loss
+        for got, want in zip(grad.weights + grad.biases, want_w + want_b):
+            assert got.tobytes() == want.tobytes()
+
+
+def _buffer_bytes(ws: _Workspace) -> int:
+    arrays = [v for value in vars(ws).values() for v in (value if isinstance(value, list) else [value])]
+    return sum(a.nbytes for a in arrays)
+
+
+def _traced_peak(call) -> int:
+    """Peak traced bytes above what was allocated before ``call``."""
+    call()  # warm caches and lazy set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# Python objects (views, scalars) only: a third of one batch's hidden
+# activations, 32 x 100 float64 values.
+LOOP_SLACK = 8 * 1024
+
+
+def test_client_update_allocates_nothing_per_batch():
+    # 40 batches over two epochs: the peak is the workspace, the private
+    # copy of the model and per-row index arrays (labels as intp, and two
+    # shuffle orders while the next epoch's replaces the last); no batch
+    # allocates on top of that.
+    rng = np.random.default_rng(30)
+    model = init_model([784, 100, 100, 10], rng)
+    n = 640
+    x = rng.integers(0, 256, (n, 784), dtype=np.uint8)
+    y = rng.integers(0, 10, n)
+    cfg = TrainConfig(batch_size=32, local_epochs=2)
+    peak = _traced_peak(lambda: client_update(model, x, y, cfg, np.random.default_rng(0)))
+
+    held = (
+        _buffer_bytes(_Workspace(model.weights, cfg.batch_size, train=True))
+        + sum(a.nbytes for a in model.weights + model.biases)
+        + 3 * 8 * n
+    )
+    assert peak <= held + LOOP_SLACK
+
+
+def test_evaluate_allocates_nothing_per_chunk():
+    # Five chunks: the peak is the workspace plus per-row arrays (losses,
+    # predictions, labels as intp, then one bool mask and the losses it
+    # selects); no chunk allocates on top of that.
+    rng = np.random.default_rng(31)
+    model = init_model([784, 100, 100, 10], rng)
+    n = 4 * EVAL_CHUNK_ROWS + 100
+    x = rng.integers(0, 256, (n, 784), dtype=np.uint8)
+    y = rng.integers(0, 10, n)
+    peak = _traced_peak(lambda: evaluate(model, x, y))
+
+    held = _buffer_bytes(_Workspace(model.weights, EVAL_CHUNK_ROWS)) + (3 * 8 + 1 + 8) * n
+    assert peak <= held + LOOP_SLACK
 
 
 def test_eval_report_is_plain_data():
