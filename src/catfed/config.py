@@ -1,8 +1,9 @@
 """Flat key=value run configuration files.
 
 The format is one ``key = value`` per line; ``#`` starts a comment and blank
-lines are skipped.  Unknown or duplicate keys are rejected with the line
-number so typos fail loudly instead of silently running defaults.
+lines are skipped.  Unknown or duplicate keys, and values outside their key's
+domain, are rejected with the line number so typos fail loudly instead of
+silently running defaults or failing later.
 ``parse_config(serialize_config(cfg))`` returns an equal config.
 """
 
@@ -54,18 +55,8 @@ class RunConfig:
     output: str = "results.csv"
 
     def __post_init__(self) -> None:
-        if self.dataset not in DATASET_CLASSES:
-            raise ConfigError(
-                f"dataset must be one of {sorted(DATASET_CLASSES)}, got {self.dataset!r}"
-            )
-        if self.distribution not in KINDS:
-            raise ConfigError(f"distribution must be one of {KINDS}, got {self.distribution!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.mode not in ("A", "B"):
-            raise ConfigError(f"mode must be A or B, got {self.mode!r}")
-        if self.seeds < 1:
-            raise ConfigError(f"seeds must be >= 1, got {self.seeds}")
+        for f in fields(self):
+            _check_domain(f.name, getattr(self, f.name))
 
     def selection_mode(self) -> Mode:
         return Mode.A if self.mode == "A" else Mode.B
@@ -131,7 +122,49 @@ _PARSERS = {
     "output": str,
 }
 
-assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
+
+def _positive(value) -> bool:
+    return value >= 1
+
+
+def _nonnegative(value) -> bool:
+    # Written so that NaN fails too.
+    return value >= 0
+
+
+# Each key's domain, as a check and the phrase an error shows.  These are the
+# domains ExperimentConfig, TrainConfig, CostModel, SelectionConfig,
+# DistributionSpec and derive_rng enforce, applied when a value is read.
+_DOMAINS = {
+    "dataset": (lambda v: v in DATASET_CLASSES, f"one of {sorted(DATASET_CLASSES)}"),
+    "data_root": (lambda v: v is None or v != "", "a non-empty path or none"),
+    "distribution": (lambda v: v in KINDS, f"one of {KINDS}"),
+    "strategy": (lambda v: v in STRATEGIES, f"one of {STRATEGIES}"),
+    "mode": (lambda v: v in ("A", "B"), "A or B"),
+    "limit": (lambda v: v is None or v >= 1, ">= 1 or none"),
+    "client_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "rounds": (_positive, ">= 1"),
+    "learning_rate": (_nonnegative, ">= 0"),
+    "batch_size": (_positive, ">= 1"),
+    "local_epochs": (_positive, ">= 1"),
+    "num_clients": (_positive, ">= 1"),
+    "samples_per_client": (_positive, ">= 1"),
+    "seed": (_nonnegative, ">= 0"),
+    "client_cost": (_nonnegative, ">= 0"),
+    "server_cost": (_nonnegative, ">= 0"),
+    "minority_categories": (_nonnegative, ">= 0"),
+    "minority_ratio": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "seeds": (_positive, ">= 1"),
+    "output": (lambda v: v != "", "a non-empty path"),
+}
+
+assert set(_PARSERS) == set(_DOMAINS) == {f.name for f in fields(RunConfig)}
+
+
+def _check_domain(key: str, value, where: str = "") -> None:
+    check, domain = _DOMAINS[key]
+    if not check(value):
+        raise ConfigError(f"{where}{key} must be {domain}, got {value!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -153,6 +186,7 @@ def parse_config(text: str) -> RunConfig:
             values[key] = _PARSERS[key](raw_value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        _check_domain(key, values[key], f"line {lineno}: ")
     try:
         return RunConfig(**values)
     except (ValueError, TypeError) as exc:

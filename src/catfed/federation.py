@@ -8,11 +8,18 @@ sample-count-weighted average of the returned weights.  The global model is
 then scored on the held-out test set and the round is logged together with
 its communication cost.
 
+Local training runs in cohorts (``network.train_clients``): up to
+``network.COHORT`` consecutive selected clients, in ascending id, with the
+same sample count step in lockstep, each on its own copy of the global
+weights, and each gets the bits it would get alone.  Batch rows are gathered
+straight from the train split by index.
+
 The average is streamed: the weights are fixed from the selected clients'
 sample counts before training, and each update is folded into one running
-sum as soon as its client returns, in ascending client id.  A round holds
-the global model, that sum and one update, however many clients it selects,
-and the result is the same bits as ``aggregate_weighted`` over the list.
+sum as its client finishes, in ascending client id.  A round holds the
+global model, that sum and one cohort's private models, however many
+clients it selects, and the result is the same bits as
+``aggregate_weighted`` over the list.
 
 Everything is driven by one experiment seed.  Model init, the random
 baseline's draws, and each client's shuffling use independent streams derived
@@ -30,12 +37,12 @@ from .costs import CostLedger, CostModel
 from .datasets import LabeledDataset
 from .errors import RoundError
 from .network import (
-    EvalReport,
+    Diverged,
     ModelParams,
     TrainConfig,
-    client_update,
     evaluate,
     init_model,
+    train_clients,
 )
 from .partitions import ClientPartition
 from .seeding import (
@@ -161,8 +168,8 @@ class _RunningAverage:
         self._acc: list[np.ndarray] = []
         self._scratch: list[np.ndarray] = []
 
-    def add(self, coef: float, params: ModelParams) -> None:
-        arrays = params.weights + params.biases
+    def add(self, coef: float, weights: tuple, biases: tuple) -> None:
+        arrays = weights + biases
         if not self._acc:
             self._acc = [coef * p for p in arrays]
             self._scratch = [np.empty_like(p) for p in arrays]
@@ -201,7 +208,7 @@ def aggregate_weighted(
             raise RoundError(f"architecture mismatch: {p.architecture} != {arch}")
     average = _RunningAverage()
     for coef, p in zip(_coefficients(weights), params):
-        average.add(coef, p)
+        average.add(coef, p.weights, p.biases)
     return average.result()
 
 
@@ -246,25 +253,28 @@ def run_round(
 
     by_id = {c.client_id: c for c in clients}
     participants = [by_id[j] for j in sorted(selected_ids)]
-    # Each update is folded in as soon as its client returns, so a round
-    # holds the running average and one update, not one update per client.
-    average = _RunningAverage()
+    # Each update is folded in as its client finishes, so a round holds the
+    # running average and one cohort's models, not one update per client.
     coefs = _coefficients([c.num_samples for c in participants])
-    for client, coef in zip(participants, coefs):
-        rng = derive_rng(config.seed, STREAM_CLIENT_UPDATE, round_index, client.client_id)
-        try:
-            update = client_update(
-                model,
-                train_dataset.images[client.indices],
-                train_dataset.labels[client.indices],
-                config.train,
-                rng,
-            )
-        except FloatingPointError as exc:
-            raise RoundError(
-                f"round {round_index}, client {client.client_id}: training diverged: {exc}"
-            ) from exc
-        average.add(coef, update)
+    average = _RunningAverage()
+    try:
+        train_clients(
+            model,
+            train_dataset.images,
+            train_dataset.labels,
+            [c.indices for c in participants],
+            config.train,
+            [
+                derive_rng(config.seed, STREAM_CLIENT_UPDATE, round_index, c.client_id)
+                for c in participants
+            ],
+            lambda i, weights, biases: average.add(coefs[i], weights, biases),
+        )
+    except Diverged as exc:
+        raise RoundError(
+            f"round {round_index}, client {participants[exc.member].client_id}: "
+            f"training diverged: {exc}"
+        ) from exc
     new_model = average.result()
     report = evaluate(new_model, test_dataset.images, test_dataset.labels)
 
@@ -316,15 +326,3 @@ def run_experiment(
         )
         records.append(record)
     return ExperimentResult(config=config, records=tuple(records), model=model)
-
-
-def evaluate_clients(
-    model: ModelParams,
-    dataset: LabeledDataset,
-    clients: tuple[ClientState, ...],
-) -> list[EvalReport]:
-    """Local evaluation of one model on every client's own shard."""
-    return [
-        evaluate(model, dataset.images[c.indices], dataset.labels[c.indices])
-        for c in clients
-    ]

@@ -6,13 +6,15 @@ float64.  ModelParams holds read-only arrays.
 
 Every entry point runs the network through one ``_Workspace``: buffers for
 the float64 input rows, each layer's output, the backward deltas and the
-gradients, allocated once per call.  client_update gathers each batch into
-those buffers and steps in place on one private copy of the weights, then
-wraps it in a fresh ModelParams at the end; evaluate runs its chunks through
-them.  So a loop over batches or chunks allocates no array data, and its
-results are the same bits as the plain ``a @ w.T + b`` expressions.  The
-input model is never written, which is what lets concurrent client updates
-share one global model safely.
+gradients, allocated once per call.  ``train_clients`` is the one training
+loop.  It trains clients in cohorts: up to COHORT consecutive clients with
+the same sample count step in lockstep on stacked ``(g, rows, width)``
+buffers, each with its own private copy of the weights, its own shuffle and
+its own gradient, and each gets the bits it would get trained alone.
+client_update is a cohort of one; evaluate runs its chunks through the same
+workspace.  So a loop over batches or chunks allocates no array data, and
+its results are the same bits as the plain ``a @ w.T + b`` expressions.  The
+input model is never written.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +31,9 @@ PROB_FLOOR = 1e-12  # clamp before log so empty-probability classes stay finite
 # evaluate runs the network on chunks of this many rows, so only one chunk is
 # ever held as float64; per-row results are the same bits as one full pass.
 EVAL_CHUNK_ROWS = 512
+
+# train_clients steps up to this many equal-size clients in lockstep.
+COHORT = 4
 
 
 @dataclass(frozen=True)
@@ -131,46 +137,60 @@ def _check_labels(model: ModelParams, labels: np.ndarray, rows: int) -> np.ndarr
     return labels.astype(np.intp)
 
 
-class _Workspace:
-    """Buffers for running one model on up to ``rows`` rows at a time.
+def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first entries of flat ``buffer`` as a C-contiguous array of ``shape``."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
-    A call builds one and then runs every batch or chunk in row slices of its
-    arrays, so a loop over batches allocates no array data.  Each in-place
-    step rounds exactly as the expression it stands for: ``a @ w.T + b``,
-    ``max(z, 0)``, softmax as ``exp(z - max) / sum``, and cross-entropy as
+
+class _Workspace:
+    """Buffers for running one model, or ``members`` stacked models in
+    lockstep, on up to ``rows`` rows each.
+
+    Every buffer is flat, and a call views its first entries in the shape at
+    hand: ``(n, width)`` for one model, ``(g, n, width)`` for a cohort of g.
+    So every view is C-contiguous and a loop over batches or chunks allocates
+    no array data.  A stacked operation gives each member the bits it would
+    get alone: ``np.matmul`` runs the same gemm on each member's slice, and
+    row and column sums add in the same order.  Each in-place step rounds
+    exactly as the expression it stands for: ``a @ w.T + b``, ``max(z, 0)``,
+    softmax as ``exp(z - max) / sum``, and cross-entropy as
     ``-log(max(p, PROB_FLOOR))``.  The backward buffers exist only when built
-    with ``train=True``.
+    with ``train=True``; the members take turns with one layer-0 weight
+    gradient, the largest.
 
     numpy buffers an operand it broadcasts (up to 64 KiB per call), so a bias
     or a row statistic is first copied out to full rows in ``spread`` and
     every in-place operation works on equal shapes.
     """
 
-    def __init__(self, weights, rows: int, train: bool = False) -> None:
+    def __init__(self, weights, rows: int, members: int = 1, train: bool = False) -> None:
         fan_in = weights[0].shape[1]
         widths = [w.shape[0] for w in weights]
-        self.x = np.empty((rows, fan_in))
-        self.outs = [np.empty((rows, width)) for width in widths]
-        self.row_stat = np.empty((rows, 1))
-        self.spread = np.empty(rows * max(widths))
+        total = members * rows
+        self.x = np.empty(total * fan_in)
+        self.outs = [np.empty(total * width) for width in widths]
+        self.row_stat = np.empty(total)
+        self.spread = np.empty(total * max(widths))
         # Flat offsets of each row's labelled probability in outs[-1].
-        self.row_starts = np.arange(rows) * widths[-1]
-        self.flat_index = np.empty(rows, dtype=np.intp)
-        self.picked = np.empty(rows)
+        self.row_starts = np.arange(total) * widths[-1]
+        self.flat_index = np.empty(total, dtype=np.intp)
+        self.picked = np.empty(total)
         if train:
-            self.pixels = np.empty((rows, fan_in), dtype=np.uint8)
-            self.labels = np.empty(rows, dtype=np.intp)
-            self.losses = np.empty(rows)
-            self.deltas = [np.empty((rows, width)) for width in widths[:-1]]
-            self.inactive = [np.empty((rows, width), dtype=bool) for width in widths[:-1]]
-            self.grad_w = [np.empty_like(w) for w in weights]
-            self.grad_b = [np.empty(width) for width in widths]
+            self.index = np.empty(total, dtype=np.intp)
+            self.pixels = np.empty(total * fan_in, dtype=np.uint8)
+            self.labels = np.empty(total, dtype=np.intp)
+            self.losses = np.empty(total)
+            self.deltas = [np.empty(total * width) for width in widths[:-1]]
+            self.inactive = [np.empty(total * width, dtype=bool) for width in widths[:-1]]
+            self.grad_w0 = np.empty_like(weights[0])
+            self.grad_w = [np.empty((members, *w.shape)) for w in weights[1:]]
+            self.grad_b = [np.empty((members, width)) for width in widths]
 
     def convert(self, rows: np.ndarray) -> np.ndarray:
         """``rows`` as float64: uint8 pixels are read as pixel / 255 into ``x``."""
         if rows.dtype == np.float64:
             return rows
-        x = self.x[: len(rows)]
+        x = _view(self.x, rows.shape)
         np.copyto(x, rows, casting="unsafe")
         if rows.dtype == np.uint8:
             x /= 255.0
@@ -178,73 +198,92 @@ class _Workspace:
 
     def gather(self, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
         """``rows[index]`` as float64, for uint8 or float64 ``rows``."""
-        n = len(index)
+        shape = index.shape + rows.shape[1:]
         # mode="clip" keeps np.take from buffering ``out``; index is in range.
         if rows.dtype == np.uint8:
-            pixels = np.take(rows, index, axis=0, out=self.pixels[:n], mode="clip")
+            pixels = np.take(rows, index, axis=0, out=_view(self.pixels, shape), mode="clip")
             return self.convert(pixels)
-        return np.take(rows, index, axis=0, out=self.x[:n], mode="clip")
+        return np.take(rows, index, axis=0, out=_view(self.x, shape), mode="clip")
 
     def forward(self, weights, biases, x: np.ndarray) -> np.ndarray:
-        """Class probabilities of float64 rows ``x``; layer l's output lands in outs[l]."""
-        n = x.shape[0]
+        """Class probabilities of float64 rows ``x``, ``(n, fan_in)`` for one
+        model or ``(g, n, fan_in)`` for g stacked ones; layer l's output lands
+        in outs[l]."""
+        lead = x.shape[:-1]
         a = x
         last = len(weights) - 1
         for l, (w, b) in enumerate(zip(weights, biases)):
-            z = np.matmul(a, w.T, out=self.outs[l][:n])
-            z += self._spread(b, z.shape)
+            z = np.matmul(
+                a, np.swapaxes(w, -1, -2), out=_view(self.outs[l], lead + w.shape[-2:-1])
+            )
+            z += self._spread(b[..., None, :], z.shape)
             if l < last:
                 np.maximum(z, 0.0, out=z)
             else:
-                stat = self.row_stat[:n]
-                np.max(z, axis=1, keepdims=True, out=stat)
+                stat = _view(self.row_stat, lead + (1,))
+                np.maximum.reduce(z, axis=-1, keepdims=True, out=stat)
                 z -= self._spread(stat, z.shape)
                 np.exp(z, out=z)
-                np.sum(z, axis=1, keepdims=True, out=stat)
+                np.add.reduce(z, axis=-1, keepdims=True, out=stat)
                 z /= self._spread(stat, z.shape)
             a = z
         return a
 
-    def _spread(self, values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    def _spread(self, values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         """``values`` broadcast to ``shape`` as a contiguous array in ``spread``."""
-        out = self.spread[: shape[0] * shape[1]].reshape(shape)
+        out = _view(self.spread, shape)
         np.copyto(out, values)
         return out
 
     def cross_entropy(self, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Loss of each row of the last forward pass against its label, into ``out``.
+        """Loss of each row of the last forward pass against its label, into
+        contiguous ``out`` of the labels' shape.
 
         Leaves each row's labelled probability in ``picked``.
         """
-        n = len(labels)
-        flat = np.add(self.row_starts[:n], labels, out=self.flat_index[:n])
-        picked = np.take(self.outs[-1], flat, out=self.picked[:n], mode="clip")
-        np.maximum(picked, PROB_FLOOR, out=out)
-        np.log(out, out=out)
-        return np.negative(out, out=out)
+        m = labels.size
+        flat = np.add(self.row_starts[:m], labels.reshape(-1), out=self.flat_index[:m])
+        picked = np.take(self.outs[-1], flat, out=self.picked[:m], mode="clip")
+        losses = out.reshape(-1)
+        np.maximum(picked, PROB_FLOOR, out=losses)
+        np.log(losses, out=losses)
+        np.negative(losses, out=losses)
+        return out
 
-    def backward(self, weights, x: np.ndarray, labels: np.ndarray) -> float:
-        """Mean cross-entropy of the last forward pass (on ``x``) and its exact
-        gradient, left in ``grad_w`` and ``grad_b``."""
-        n = x.shape[0]
-        loss = float(self.cross_entropy(labels, self.losses[:n]).mean())
+    def backward(self, weights, x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each member's mean cross-entropy of the last forward pass (on
+        stacked ``x``) and its exact gradient, from the top layer down.
+
+        Layer l > 0's weight gradients land in ``grad_w[l - 1]``, every bias
+        gradient in ``grad_b``.  Returns the mean losses and layer 0's output
+        delta, from which ``grad_layer0`` makes a member's layer-0 weight
+        gradient.
+        """
+        g, n = x.shape[:2]
+        losses = self.cross_entropy(labels, _view(self.losses, (g, n)))
+        means = np.add.reduce(losses, axis=1)
+        means /= n
 
         # Output delta of softmax + cross-entropy; hidden deltas gated by ReLU.
         # The probabilities are not needed after the loss, so they become the delta.
-        picked = self.picked[:n]
+        picked = self.picked[: g * n]
         picked -= 1.0
-        np.put(self.outs[-1], self.flat_index[:n], picked, mode="clip")
-        delta = self.outs[-1][:n]
+        np.put(self.outs[-1], self.flat_index[: g * n], picked, mode="clip")
+        delta = _view(self.outs[-1], (g, n, weights[-1].shape[-2]))
         delta /= n
 
-        for l in range(len(weights) - 1, -1, -1):
-            a_in = x if l == 0 else self.outs[l - 1][:n]
-            np.matmul(delta.T, a_in, out=self.grad_w[l])
-            np.sum(delta, axis=0, out=self.grad_b[l])
-            if l > 0:
-                delta = np.matmul(delta, weights[l], out=self.deltas[l - 1][:n])
-                _relu_gate(delta, a_in, self.inactive[l - 1][:n])
-        return loss
+        for l in range(len(weights) - 1, 0, -1):
+            a_in = _view(self.outs[l - 1], (g, n, weights[l].shape[-1]))
+            np.matmul(np.swapaxes(delta, 1, 2), a_in, out=self.grad_w[l - 1][:g])
+            np.add.reduce(delta, axis=1, out=self.grad_b[l][:g])
+            delta = np.matmul(delta, weights[l], out=_view(self.deltas[l - 1], a_in.shape))
+            _relu_gate(delta, a_in, _view(self.inactive[l - 1], a_in.shape))
+        np.add.reduce(delta, axis=1, out=self.grad_b[0][:g])
+        return means, delta
+
+    def grad_layer0(self, delta: np.ndarray, x: np.ndarray, member: int) -> np.ndarray:
+        """Member ``member``'s layer-0 weight gradient, into ``grad_w0``."""
+        return np.matmul(delta[member].T, x[member], out=self.grad_w0)
 
 
 def _relu_gate(delta: np.ndarray, a: np.ndarray, inactive: np.ndarray) -> None:
@@ -284,10 +323,13 @@ def loss_and_grad(
     if batch.shape[0] == 0:
         raise ValueError("batch is empty")
     ws = _Workspace(model.weights, batch.shape[0], train=True)
-    x = ws.convert(batch)
-    ws.forward(model.weights, model.biases, x)
-    loss = ws.backward(model.weights, x, labels)
-    return loss, ModelParams(weights=tuple(ws.grad_w), biases=tuple(ws.grad_b))
+    # A cohort of one: the model's arrays viewed with a leading member axis.
+    weights = [w[None] for w in model.weights]
+    x = ws.convert(batch[None])
+    ws.forward(weights, [b[None] for b in model.biases], x)
+    losses, delta = ws.backward(weights, x, labels[None])
+    grad_w = (ws.grad_layer0(delta, x, 0), *(g[0] for g in ws.grad_w))
+    return float(losses[0]), ModelParams(weights=grad_w, biases=tuple(g[0] for g in ws.grad_b))
 
 
 def sgd_step(model: ModelParams, grad: ModelParams, learning_rate: float) -> ModelParams:
@@ -297,6 +339,143 @@ def sgd_step(model: ModelParams, grad: ModelParams, learning_rate: float) -> Mod
     )
 
 
+class Diverged(FloatingPointError):
+    """A member's local training went non-finite; ``member`` is its position
+    in the member list handed to ``train_clients``."""
+
+    def __init__(self, member: int, message: str) -> None:
+        super().__init__(message)
+        self.member = member
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` without a bool array: a NaN makes min and max
+    NaN, and an infinity shows in one of them."""
+    return math.isfinite(np.minimum.reduce(a, axis=None)) and math.isfinite(
+        np.maximum.reduce(a, axis=None)
+    )
+
+
+def _cohorts(sizes: list[int]) -> list[tuple[int, int]]:
+    """``(first, stop)`` member ranges: runs of up to COHORT consecutive
+    members with the same sample count."""
+    cohorts: list[tuple[int, int]] = []
+    for i, size in enumerate(sizes):
+        if cohorts and i - cohorts[-1][0] < COHORT and sizes[cohorts[-1][0]] == size:
+            cohorts[-1] = (cohorts[-1][0], i + 1)
+        else:
+            cohorts.append((i, i + 1))
+    return cohorts
+
+
+def train_clients(
+    model: ModelParams,
+    images: np.ndarray,
+    labels: np.ndarray,
+    members: list[np.ndarray],
+    config: TrainConfig,
+    rngs: list[np.random.Generator],
+    take: Callable[[int, tuple[np.ndarray, ...], tuple[np.ndarray, ...]], None],
+) -> None:
+    """Local SGD from ``model`` for each member; ``take(i, weights, biases)``
+    receives member i's update, in member order.
+
+    Member i trains on the rows ``members[i]`` of ``images`` and ``labels``
+    and shuffles with ``rngs[i]``: per epoch, shuffle, split into batches of
+    B, SGD each; the last short batch is trained on rather than dropped.
+    Runs of up to COHORT consecutive members with the same sample count
+    train in lockstep, as one cohort, and each member's update is the same
+    bits as training it alone.  Batch rows are gathered straight from
+    ``images``, uint8 read as pixel / 255.
+
+    ``take`` gets views into buffers that the next cohort reuses, so it must
+    use or copy them before it returns.  The input model is never written.
+    A step whose loss is not finite, or a final model that is not, raises
+    Diverged for the first member (in list order) that a one-at-a-time run
+    would name, after ``take`` has had every member before it; the message
+    names the epoch (from 1), the batch's start offset and the member's last
+    finite loss.
+    """
+    images = _check_rows(model, images)
+    labels = _check_labels(model, labels, images.shape[0])
+    if images.dtype != np.uint8:
+        images = images.astype(np.float64, copy=False)
+    if len(rngs) != len(members):
+        raise ValueError(f"{len(members)} members but {len(rngs)} generators")
+    sizes = [len(index) for index in members]
+    for index in members:
+        if len(index) == 0:
+            raise ValueError("client data is empty")
+        if index.min() < 0 or index.max() >= images.shape[0]:
+            raise ValueError(
+                f"row indices must be in [0, {images.shape[0]}), got range "
+                f"[{index.min()}, {index.max()}]"
+            )
+    cohorts = _cohorts(sizes)
+    width = max(stop - first for first, stop in cohorts)
+    batch_size, lr = config.batch_size, config.learning_rate
+    ws = _Workspace(model.weights, min(max(sizes), batch_size), width, train=True)
+    # The cohort's private models, one per member along the leading axis,
+    # stepped in place: ``g *= lr; p -= g`` rounds exactly as ``p - lr * g``.
+    stacked_w = [np.empty((width, *w.shape)) for w in model.weights]
+    stacked_b = [np.empty((width, *b.shape)) for b in model.biases]
+    order_buffer = np.empty(width * max(sizes), dtype=np.intp)
+
+    for first, stop in cohorts:
+        g, n = stop - first, sizes[first]
+        weights, biases = stacked_w, stacked_b
+        if g < width:
+            weights, biases = [w[:g] for w in weights], [b[:g] for b in biases]
+        for p, initial in zip(weights + biases, model.weights + model.biases):
+            p[...] = initial
+        order = _view(order_buffer, (g, n))
+        failures: list[str | None] = [None] * g
+        last: list[float | None] = [None] * g
+        for epoch in range(1, config.local_epochs + 1):
+            for i in range(g):
+                # Shuffling the indices in place makes the same swaps, from
+                # the same draws, as ``members[i][rng.permutation(n)]``.
+                np.copyto(order[i], members[first + i])
+                rngs[first + i].shuffle(order[i])
+            for start in range(0, n, batch_size):
+                index = _view(ws.index, (g, min(batch_size, n - start)))
+                np.copyto(index, order[:, start : start + batch_size])
+                x = ws.gather(images, index)
+                ys = np.take(labels, index, out=_view(ws.labels, index.shape), mode="clip")
+                ws.forward(weights, biases, x)
+                losses, delta = ws.backward(weights, x, ys)
+                values = losses.tolist()
+                for i, loss in enumerate(values):
+                    if failures[i] is None and not math.isfinite(loss):
+                        failures[i] = (
+                            f"loss {loss} at epoch {epoch}, batch start {start} "
+                            f"(last finite loss {last[i]!r})"
+                        )
+                if failures[0] is not None:
+                    raise Diverged(first, failures[0])
+                last = values
+                for p, grad in zip(weights[1:] + biases, ws.grad_w + ws.grad_b):
+                    grad = grad[:g]
+                    grad *= lr
+                    p -= grad
+                for i in range(g):
+                    grad = ws.grad_layer0(delta, x, i)
+                    grad *= lr
+                    weights[0][i] -= grad
+
+        for i in range(g):
+            if failures[i] is not None:
+                raise Diverged(first + i, failures[i])
+            for l, (w, b) in enumerate(zip(weights, biases)):
+                if not (_all_finite(w[i]) and _all_finite(b[i])):
+                    raise Diverged(
+                        first + i,
+                        f"layer {l}: non-finite parameters after the step at epoch "
+                        f"{epoch}, batch start {start} (last finite loss {last[i]!r})",
+                    )
+            take(first + i, tuple(w[i] for w in weights), tuple(b[i] for b in biases))
+
+
 def client_update(
     model: ModelParams,
     images: np.ndarray,
@@ -304,57 +483,17 @@ def client_update(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> ModelParams:
-    """Local refinement: per epoch, shuffle, split into batches of B, SGD each.
-
-    Each batch's rows are gathered into one batch buffer, uint8 ``images``
-    read as pixel / 255 there.  The last short batch is trained on rather
-    than dropped.  The input model is never touched; the updated copy is
-    returned.  A step whose loss is not finite, or a final model that is not,
-    raises FloatingPointError naming the epoch (from 1), the batch's start
-    offset and the last finite loss.
-    """
+    """Local refinement of ``model`` on all of ``images``: ``train_clients``
+    with one member.  Returns the updated copy; a step or a final model that
+    is not finite raises FloatingPointError (Diverged)."""
     images = _check_rows(model, images)
-    n = images.shape[0]
-    if n == 0:
-        raise ValueError("client data is empty")
-    labels = _check_labels(model, labels, n)
-    if images.dtype != np.uint8:
-        images = images.astype(np.float64, copy=False)
-
-    # One private copy, stepped in place: ``g *= lr; p -= g`` rounds exactly
-    # as ``p - lr * g`` does.
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
-    ws = _Workspace(weights, min(n, config.batch_size), train=True)
-    steps = list(zip(weights + biases, ws.grad_w + ws.grad_b))
-    last_loss = None
-    for epoch in range(1, config.local_epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            index = order[start : start + config.batch_size]
-            x = ws.gather(images, index)
-            ys = np.take(labels, index, out=ws.labels[: len(index)], mode="clip")
-            ws.forward(weights, biases, x)
-            loss = ws.backward(weights, x, ys)
-            if not math.isfinite(loss):
-                raise FloatingPointError(
-                    f"loss {loss} at epoch {epoch}, batch start {start} "
-                    f"(last finite loss {last_loss!r})"
-                )
-            last_loss = loss
-            for p, g in steps:
-                g *= config.learning_rate
-                p -= g
-    # Free the buffers before ModelParams checks the result, so the call's
-    # peak is the training loop's.
-    del ws, steps
-    try:
-        return ModelParams(weights=tuple(weights), biases=tuple(biases))
-    except ValueError as exc:
-        raise FloatingPointError(
-            f"{exc} after the step at epoch {epoch}, batch start {start} "
-            f"(last finite loss {last_loss!r})"
-        ) from exc
+    updates = []
+    train_clients(
+        model, images, labels, [np.arange(images.shape[0])], config, [rng],
+        lambda _, weights, biases: updates.append((weights, biases)),
+    )
+    ((weights, biases),) = updates
+    return ModelParams(weights=weights, biases=biases)
 
 
 def evaluate(model: ModelParams, images: np.ndarray, labels: np.ndarray) -> EvalReport:

@@ -86,6 +86,61 @@ class TestValidation:
         assert RunConfig(mode="A").selection_mode() is Mode.A
         assert RunConfig(mode="B").selection_mode() is Mode.B
 
+    @pytest.mark.parametrize(
+        "key, raw, domain",
+        [
+            ("data_root", "", "a non-empty path or none"),
+            ("limit", "0", ">= 1 or none"),
+            ("client_fraction", "0.0", r"in \(0, 1\]"),
+            ("client_fraction", "1.5", r"in \(0, 1\]"),
+            ("client_fraction", "nan", r"in \(0, 1\]"),
+            ("rounds", "0", ">= 1"),
+            ("learning_rate", "-0.001", ">= 0"),
+            ("learning_rate", "nan", ">= 0"),
+            ("batch_size", "0", ">= 1"),
+            ("local_epochs", "0", ">= 1"),
+            ("num_clients", "0", ">= 1"),
+            ("samples_per_client", "-5", ">= 1"),
+            ("seed", "-1", ">= 0"),
+            ("client_cost", "-1.0", ">= 0"),
+            ("server_cost", "-0.5", ">= 0"),
+            ("minority_categories", "-1", ">= 0"),
+            ("minority_ratio", "0.0", r"in \(0, 1\)"),
+            ("minority_ratio", "1.0", r"in \(0, 1\)"),
+            ("seeds", "-2", ">= 1"),
+            ("output", "", "a non-empty path"),
+            ("dataset", "cifar10", r"one of \[.*\]"),
+            ("distribution", "D0", r"one of \(.*\)"),
+            ("strategy", "greedy", r"one of \(.*\)"),
+            ("mode", "c", "A or B"),
+        ],
+    )
+    def test_out_of_domain_value_names_key_and_line(self, key, raw, domain):
+        text = f"seed = 1\n# comment\n{key} = {raw}\nrounds = 5\n"
+        if key in ("seed", "rounds"):
+            text = f"# comment\n\n{key} = {raw}\n"
+        with pytest.raises(ConfigError, match=rf"^line 3: {key} must be {domain}, got "):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"rounds": 0}, {"batch_size": 0}, {"local_epochs": -1}, {"client_cost": -2.0},
+            {"client_fraction": 2.0}, {"limit": 0}, {"minority_ratio": 1.5}, {"seed": -3},
+        ],
+    )
+    def test_direct_construction_checks_the_same_domains(self, overrides):
+        (key,) = overrides
+        with pytest.raises(ConfigError, match=rf"^{key} must be "):
+            RunConfig(**overrides)
+
+    def test_values_on_the_domain_edges_are_accepted(self):
+        cfg = parse_config(
+            "client_fraction = 1.0\nlearning_rate = 0.0\nseed = 0\nclient_cost = 0.0\n"
+            "minority_categories = 0\nlimit = 1\nrounds = 1\n"
+        )
+        assert (cfg.client_fraction, cfg.learning_rate, cfg.limit, cfg.rounds) == (1.0, 0.0, 1, 1)
+
 
 class TestDerivedConfigs:
     def test_distribution_spec_fields(self):
@@ -189,3 +244,38 @@ class TestRoundTrip:
             RunConfig(), strategy="fedavg_random", server_cost=1.5, data_root="/d"
         )
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+# An out-of-domain value for each numeric key.
+_BAD_VALUES = {
+    "rounds": st.integers(max_value=0),
+    "batch_size": st.integers(max_value=0),
+    "local_epochs": st.integers(max_value=0),
+    "num_clients": st.integers(max_value=0),
+    "samples_per_client": st.integers(max_value=0),
+    "seeds": st.integers(max_value=0),
+    "limit": st.integers(max_value=0),
+    "seed": st.integers(max_value=-1),
+    "minority_categories": st.integers(max_value=-1),
+    "learning_rate": st.floats(max_value=-1e-300) | st.just(float("nan")),
+    "client_cost": st.floats(max_value=-1e-300) | st.just(float("nan")),
+    "server_cost": st.floats(max_value=-1e-300) | st.just(float("nan")),
+    "client_fraction": st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
+    | st.just(float("nan")),
+    "minority_ratio": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(float("nan")),
+}
+
+
+@given(
+    key_and_value=st.sampled_from(sorted(_BAD_VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), _BAD_VALUES[key])
+    ),
+    before=st.lists(st.sampled_from(["", "# a comment", "   ", "dataset = mnist  # ok"]),
+                    max_size=6, unique=True),
+)
+def test_out_of_domain_value_names_its_line_property(key_and_value, before):
+    key, value = key_and_value
+    lines = before + [f"{key} = {value!r}", "output = out.csv"]
+    with pytest.raises(ConfigError) as info:
+        parse_config("\n".join(lines) + "\n")
+    assert str(info.value).startswith(f"line {len(before) + 1}: {key} must be ")

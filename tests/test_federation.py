@@ -17,13 +17,14 @@ from catfed import (
     check_loss_decomposition,
     client_update,
     clients_from_partition,
-    evaluate_clients,
+    evaluate,
     generate_partition,
     init_model,
     metadata_round,
     run_experiment,
 )
 from catfed.federation import _fedavg_k, run_round
+from catfed.network import COHORT
 from catfed.seeding import STREAM_CLIENT_UPDATE, derive_rng
 from conftest import make_dataset, make_pair
 
@@ -124,6 +125,31 @@ class TestStreamedRound:
             client_update(
                 model, train.images[c.indices], train.labels[c.indices], config.train,
                 derive_rng(config.seed, STREAM_CLIENT_UPDATE, 2, c.client_id),
+            )
+            for c in clients
+        ]
+        want = aggregate_weighted(updates, [float(n) for n in sizes])
+        for got, expected in zip(
+            new_model.weights + new_model.biases, want.weights + want.biases
+        ):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_cohort_round_equals_client_updates_and_aggregate_weighted_bitwise(self):
+        # Full cohorts, a cohort cut by COHORT, a size change and a last
+        # cohort of one: every update is the one client_update gives alone.
+        sizes = [20] * (COHORT + 1) + [7, 7, 20]
+        train, test, clients = round_inputs(len(sizes), sizes, seed=3)
+        config = ExperimentConfig(strategy="fedavg_random", client_fraction=1.0, seed=9)
+        model = init_model([784, 16, 10], np.random.default_rng(2))
+        new_model, record = run_round(
+            config, model, clients, metadata_round(clients), train, test,
+            CostLedger(config.cost), round_index=3,
+        )
+        assert record.selected == tuple(range(len(sizes)))
+        updates = [
+            client_update(
+                model, train.images[c.indices], train.labels[c.indices], config.train,
+                derive_rng(config.seed, STREAM_CLIENT_UPDATE, 3, c.client_id),
             )
             for c in clients
         ]
@@ -289,12 +315,50 @@ def test_diverging_client_raises_round_error_naming_round_and_client():
         run_experiment(cfg, train, part, test)
 
 
+def test_divergence_names_the_client_a_one_at_a_time_run_names():
+    # Clients 0 and 1 share a cohort.  Client 1's rows are infinite, so it
+    # diverges at batch start 0; client 0 diverges a step later under a huge
+    # learning rate.  Trained one at a time, client 0 raises first.
+    rng = np.random.default_rng(3)
+    images = rng.standard_normal((24, 5))
+    images[12:] = np.inf
+    train = LabeledDataset(images=images, labels=rng.integers(0, 3, 24),
+                           num_categories=3, name="toy")
+    test = LabeledDataset(images=rng.standard_normal((6, 5)),
+                          labels=rng.integers(0, 3, 6), num_categories=3, name="toy")
+    clients = (
+        ClientState(0, np.arange(12), CategoryMask(0b111, 3)),
+        ClientState(1, np.arange(12, 24), CategoryMask(0b111, 3)),
+    )
+    config = ExperimentConfig(
+        strategy="fedavg_random", client_fraction=1.0, hidden=(4,),
+        train=TrainConfig(learning_rate=1e300, batch_size=4),
+    )
+    model = init_model([5, 4, 3], rng)
+    alone = []
+    with np.errstate(all="ignore"):
+        for c in clients:
+            with pytest.raises(FloatingPointError) as info:
+                client_update(model, images[c.indices], train.labels[c.indices],
+                              config.train, derive_rng(config.seed, STREAM_CLIENT_UPDATE,
+                                                       1, c.client_id))
+            alone.append(str(info.value))
+        assert "batch start 0 " in alone[1] and "batch start 0 " not in alone[0]
+        with pytest.raises(RoundError) as info:
+            run_round(config, model, clients, metadata_round(clients), train, test,
+                      CostLedger(config.cost), round_index=1)
+    assert str(info.value) == f"round 1, client 0: training diverged: {alone[0]}"
+
+
 class TestDecompositionDuringRuns:
     def test_client_major_equals_category_major_each_round(self):
         cfg, train, part, test = small_setup(rounds=2)
         result = run_experiment(cfg, train, part, test)
         clients = clients_from_partition(part)
-        reports = evaluate_clients(result.model, train, clients)
+        reports = [
+            evaluate(result.model, train.images[c.indices], train.labels[c.indices])
+            for c in clients
+        ]
         out = check_loss_decomposition(reports)
         assert out.relative_gap <= 1e-9
         assert out.undefined_categories == ()

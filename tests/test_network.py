@@ -20,12 +20,16 @@ from catfed import (
     save_model,
 )
 from catfed.network import (
+    COHORT,
     EVAL_CHUNK_ROWS,
     PROB_FLOOR,
+    Diverged,
+    _cohorts,
     _relu_gate,
     _Workspace,
     per_sample_losses,
     sgd_step,
+    train_clients,
 )
 
 
@@ -530,6 +534,146 @@ def test_arbitrary_bytes_load_or_raise_value_error(checkpoint_path, raw):
     assert checkpoint_path.read_bytes() == raw
 
 
+def _trained_alone(model, images, labels, members, cfg, seeds):
+    """Each member's ``client_update`` on its own rows, as parameter lists."""
+    out = []
+    for index, seed in zip(members, seeds):
+        update = client_update(model, images[index], labels[index], cfg,
+                               np.random.default_rng(seed))
+        out.append(list(update.weights + update.biases))
+    return out
+
+
+def _trained_in_cohorts(model, images, labels, members, cfg, seeds):
+    """``train_clients`` over all members, each update copied as it comes."""
+    out = []
+
+    def take(i, weights, biases):
+        assert i == len(out)
+        out.append([a.copy() for a in weights + biases])
+
+    train_clients(model, images, labels, members, cfg,
+                  [np.random.default_rng(seed) for seed in seeds], take)
+    return out
+
+
+class TestCohorts:
+    def test_runs_of_equal_sizes_up_to_cohort(self):
+        sizes = [5] * (COHORT + 1) + [3, 3, 5]
+        assert _cohorts(sizes) == [
+            (0, COHORT), (COHORT, COHORT + 1), (COHORT + 1, COHORT + 3),
+            (COHORT + 3, COHORT + 4),
+        ]
+        assert _cohorts([7]) == [(0, 1)]
+
+    @pytest.mark.parametrize("pixels", [False, True])
+    @pytest.mark.parametrize(
+        "sizes, batch_size, epochs",
+        [([10] * g, 4, 2) for g in range(1, COHORT + 2)]  # short last batch
+        + [
+            ([8] * COHORT, 4, 1),  # batches that divide the rows
+            ([10, 10, 7, 7, 7, 10, 3, 3], 4, 2),  # a new size starts a new cohort
+            ([5, 5, 5], 8, 1),  # one batch larger than the client
+        ],
+    )
+    def test_each_member_gets_the_bits_it_gets_alone(self, sizes, batch_size, epochs, pixels):
+        rng = np.random.default_rng(len(sizes) + batch_size)
+        model = init_model([12, 8, 6, 3], rng)
+        total = sum(sizes) + 9  # rows no member trains on
+        if pixels:
+            x = rng.integers(0, 256, (total, 12), dtype=np.uint8)
+        else:
+            x = rng.standard_normal((total, 12))
+        y = rng.integers(0, 3, total)
+        rows = rng.permutation(total)
+        members = np.split(rows, np.cumsum(sizes))[: len(sizes)]
+        cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, local_epochs=epochs)
+        seeds = [100 + i for i in range(len(sizes))]
+
+        got = _trained_in_cohorts(model, x, y, members, cfg, seeds)
+        want = _trained_alone(model, x, y, members, cfg, seeds)
+        assert len(got) == len(want) == len(sizes)
+        for g_params, w_params in zip(got, want):
+            for a, b in zip(g_params, w_params):
+                assert a.tobytes() == b.tobytes()
+
+    def test_mnist_shaped_cohort_matches_members_alone(self):
+        rng = np.random.default_rng(40)
+        model = init_model([784, 100, 100, 10], rng)
+        x = rng.integers(0, 256, (400, 784), dtype=np.uint8)
+        y = rng.integers(0, 10, 400)
+        members = list(rng.permutation(400)[:360].reshape(COHORT + 2, -1)[:, :60])
+        cfg = TrainConfig(batch_size=32)
+        seeds = list(range(len(members)))
+        got = _trained_in_cohorts(model, x, y, members, cfg, seeds)
+        want = _trained_alone(model, x, y, members, cfg, seeds)
+        for g_params, w_params in zip(got, want):
+            for a, b in zip(g_params, w_params):
+                assert a.tobytes() == b.tobytes()
+
+    def test_model_and_rows_are_not_written(self):
+        rng = np.random.default_rng(41)
+        model = init_model([6, 4, 3], rng)
+        x = rng.standard_normal((24, 6))
+        y = rng.integers(0, 3, 24)
+        before = [a.copy() for a in model.weights + model.biases] + [x.copy(), y.copy()]
+        train_clients(model, x, y, [np.arange(12), np.arange(12, 24)], TrainConfig(),
+                      [np.random.default_rng(0), np.random.default_rng(1)], lambda *_: None)
+        for a, b in zip(model.weights + model.biases + (x, y), before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [np.array([0, 24]), np.array([-1, 3]), np.array([], dtype=int)])
+    def test_bad_member_rows_rejected(self, bad):
+        model = init_model([6, 3], np.random.default_rng(0))
+        x = np.zeros((24, 6))
+        y = np.zeros(24, dtype=int)
+        with pytest.raises(ValueError, match="row indices|empty"):
+            train_clients(model, x, y, [np.arange(4), bad], TrainConfig(),
+                          [np.random.default_rng(0)] * 2, lambda *_: None)
+
+    def test_lower_member_diverging_later_is_named_first(self):
+        # Member 1's rows are infinite, so alone it
+        # diverges at batch start 0; member 0 diverges a step later under a
+        # huge learning rate.  A one-at-a-time run names member 0 first.
+        rng = np.random.default_rng(3)
+        model = init_model([5, 4, 3], rng)
+        x = rng.standard_normal((24, 5))
+        x[12:] = np.inf
+        y = rng.integers(0, 3, 24)
+        members = [np.arange(12), np.arange(12, 24)]
+        cfg = TrainConfig(learning_rate=1e300, batch_size=4)
+        alone = []
+        with np.errstate(all="ignore"):
+            for i, index in enumerate(members):
+                with pytest.raises(FloatingPointError) as info:
+                    client_update(model, x[index], y[index], cfg, np.random.default_rng(i))
+                alone.append(str(info.value))
+            assert "batch start 0 " in alone[1] and "batch start 0 " not in alone[0]
+            taken = []
+            with pytest.raises(Diverged) as info:
+                train_clients(model, x, y, members, cfg,
+                              [np.random.default_rng(0), np.random.default_rng(1)],
+                              lambda i, *_: taken.append(i))
+        assert info.value.member == 0
+        assert str(info.value) == alone[0]
+        assert taken == []
+
+    def test_members_before_the_diverging_one_are_taken(self):
+        rng = np.random.default_rng(5)
+        model = init_model([5, 4, 3], rng)
+        x = rng.standard_normal((36, 5))
+        x[24:] = np.inf
+        y = rng.integers(0, 3, 36)
+        members = [np.arange(0, 12), np.arange(12, 24), np.arange(24, 36)]
+        taken = []
+        with np.errstate(all="ignore"), pytest.raises(Diverged) as info:
+            train_clients(model, x, y, members, TrainConfig(batch_size=4),
+                          [np.random.default_rng(i) for i in range(3)],
+                          lambda i, *_: taken.append(i))
+        assert info.value.member == 2 and taken == [0, 1]
+        assert "epoch 1, batch start 0 (last finite loss None)" in str(info.value)
+
+
 class TestUint8Rows:
     """uint8 rows are IDX pixels: every entry point reads them as pixel / 255."""
 
@@ -612,8 +756,8 @@ LOOP_SLACK = 8 * 1024
 
 def test_client_update_allocates_nothing_per_batch():
     # 40 batches over two epochs: the peak is the workspace, the private
-    # copy of the model and per-row index arrays (labels as intp, and two
-    # shuffle orders while the next epoch's replaces the last); no batch
+    # copy of the model and per-row index arrays (labels as intp, the
+    # client's row indices and the epoch's shuffled copy of them); no batch
     # allocates on top of that.
     rng = np.random.default_rng(30)
     model = init_model([784, 100, 100, 10], rng)
@@ -644,6 +788,33 @@ def test_evaluate_allocates_nothing_per_chunk():
 
     held = _buffer_bytes(_Workspace(model.weights, EVAL_CHUNK_ROWS)) + (3 * 8 + 1 + 8) * n
     assert peak <= held + LOOP_SLACK
+
+
+def test_cohort_training_allocates_nothing_per_batch():
+    # A full cohort, 40 batches over two epochs: the peak is the workspace,
+    # the cohort's private models and per-row index arrays (the split's
+    # labels as intp and the members' shuffled rows); no batch allocates on
+    # top of that.  The slack is LOOP_SLACK per member, still a third of one
+    # cohort batch's hidden activations.
+    rng = np.random.default_rng(32)
+    model = init_model([784, 100, 100, 10], rng)
+    n = 640
+    x = rng.integers(0, 256, (COHORT * n, 784), dtype=np.uint8)
+    y = rng.integers(0, 10, COHORT * n)
+    members = [np.arange(i * n, (i + 1) * n) for i in range(COHORT)]
+    cfg = TrainConfig(batch_size=32, local_epochs=2)
+    peak = _traced_peak(lambda: train_clients(
+        model, x, y, members, cfg,
+        [np.random.default_rng(i) for i in range(COHORT)], lambda *_: None,
+    ))
+
+    held = (
+        _buffer_bytes(_Workspace(model.weights, cfg.batch_size, COHORT, train=True))
+        + COHORT * sum(a.nbytes for a in model.weights + model.biases)
+        + 8 * len(y)
+        + 8 * COHORT * n
+    )
+    assert peak <= held + COHORT * LOOP_SLACK
 
 
 def test_eval_report_is_plain_data():
