@@ -28,7 +28,6 @@ from .datasets import DatasetSpec, LabeledDataset, load_dataset
 from .federation import ExperimentResult, RoundRecord, run_experiment
 from .partitions import (
     ClientPartition,
-    apply_global_imbalance,
     generate_partition,
     partition_stats,
     save_partition,
@@ -66,17 +65,13 @@ def _load_pair(config: RunConfig, root: Path) -> tuple[LabeledDataset, LabeledDa
     return train, test
 
 
-def _prepare_train(config: RunConfig, train: LabeledDataset, seed: int):
-    """Optionally imbalance the train split, then partition it."""
-    if config.minority_categories:
-        train = apply_global_imbalance(
-            train,
-            minority_count=config.minority_categories,
-            ratio=config.minority_ratio,
-            seed=seed,
+def _note_replacements(partition: ClientPartition) -> None:
+    if partition.replacement_events:
+        repeated = sum(n for _, _, n in partition.replacement_events)
+        print(
+            f"note: {len(partition.replacement_events)} exhausted-pool draws "
+            f"({repeated} samples drawn with replacement)"
         )
-    spec = dataclasses.replace(config.distribution_spec(), seed=seed)
-    return train, generate_partition(spec, train)
 
 
 def _seed_csv_path(output: Path, seed: int, multi: bool) -> Path:
@@ -92,7 +87,7 @@ def _summary_path(output: Path) -> Path:
 def cmd_run(config_path: str) -> int:
     config = load_config(config_path)
     root = resolve_data_root(config)
-    train_base, test = _load_pair(config, root)
+    train, test = _load_pair(config, root)
 
     output = Path(config.output)
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -100,7 +95,8 @@ def cmd_run(config_path: str) -> int:
     results: list[tuple[int, ExperimentResult]] = []
     for replicate in range(config.seeds):
         seed = config.seed + replicate
-        train, partition = _prepare_train(config, train_base, seed)
+        spec = dataclasses.replace(config.distribution_spec(), seed=seed)
+        partition = generate_partition(spec, train)
         result = run_experiment(
             config.experiment_config(seed=seed), train, partition, test
         )
@@ -108,6 +104,7 @@ def cmd_run(config_path: str) -> int:
         csv_path.write_text(records_to_csv(result.records), encoding="utf-8")
         results.append((seed, result))
         print(f"wrote {csv_path} ({len(result.records)} rounds)")
+        _note_replacements(partition)
 
     summary_lines = [
         f"seed={seed} final_accuracy={res.final_accuracy!r} "
@@ -132,7 +129,7 @@ def cmd_partition(config_path: str) -> int:
     config = load_config(config_path)
     root = resolve_data_root(config)
     train = load_dataset(DatasetSpec(config.dataset, "train", root))
-    train, partition = _prepare_train(config, train, config.seed)
+    partition = generate_partition(config.distribution_spec(), train)
 
     output = Path(config.output)
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -146,26 +143,30 @@ def cmd_partition(config_path: str) -> int:
 
     print(f"wrote {output} ({partition.num_clients} clients)")
     print(f"wrote {stats_path}")
-    if partition.replacement_events:
-        repeated = sum(n for _, _, n in partition.replacement_events)
-        print(
-            f"note: {len(partition.replacement_events)} exhausted-pool draws "
-            f"({repeated} samples drawn with replacement)"
-        )
+    _note_replacements(partition)
     return 0
 
 
 def _parse_n_values(raw: str) -> list[int]:
+    """``--n``: a comma list of N values and N-M ranges, each N >= 1."""
     values: set[int] = set()
     for token in raw.split(","):
         token = token.strip()
-        if "-" in token.lstrip("-"):
-            lo, _, hi = token.partition("-")
-            values.update(range(int(lo), int(hi) + 1))
-        else:
-            values.add(int(token))
-    if not values or min(values) < 1:
-        raise ValueError(f"N values must be positive integers, got {raw!r}")
+        try:
+            if "-" in token.lstrip("-"):
+                lo, _, hi = token.partition("-")
+                first, last = int(lo), int(hi)
+            else:
+                first = last = int(token)
+        except ValueError:
+            raise ValueError(
+                f"--n: {token!r} is neither an integer nor a range N-M"
+            ) from None
+        if first < 1:
+            raise ValueError(f"--n: N values must be >= 1, got {token!r}")
+        if last < first:
+            raise ValueError(f"--n: range {token!r} runs backwards")
+        values.update(range(first, last + 1))
     return sorted(values)
 
 
@@ -176,9 +177,10 @@ def cmd_sweep_n(config_path: str, n_values: list[int]) -> int:
             f"sweep-n needs a category strategy, got {config.strategy!r}"
         )
     root = resolve_data_root(config)
-    train_base, test = _load_pair(config, root)
+    train, test = _load_pair(config, root)
     # One partition and one seed shared by every N so the sweep isolates N.
-    train, partition = _prepare_train(config, train_base, config.seed)
+    partition = generate_partition(config.distribution_spec(), train)
+    _note_replacements(partition)
 
     rows = []
     smallest_full: int | None = None
@@ -231,7 +233,7 @@ def cmd_trace_selection(config_path: str) -> int:
         )
     root = resolve_data_root(config)
     train = load_dataset(DatasetSpec(config.dataset, "train", root))
-    train, partition = _prepare_train(config, train, config.seed)
+    partition = generate_partition(config.distribution_spec(), train)
     sel = SelectionConfig(
         num_categories=train.num_categories,
         mode=config.selection_mode(),

@@ -15,7 +15,7 @@ counted every round they participate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .network import EvalReport
 
@@ -41,19 +41,6 @@ def round_cost(model: CostModel, num_selected: int) -> float:
 
 def cumulative_cost(model: CostModel, selection_sizes: Sequence[int]) -> float:
     return sum(round_cost(model, k) for k in selection_sizes)
-
-
-def marginal_cost_per_client_per_round(
-    model: CostModel, selection_sizes: Sequence[int]
-) -> float:
-    """d(cumulative cost)/d(client_cost), averaged over rounds: the mean K."""
-    if not selection_sizes:
-        raise ValueError("needs at least one round")
-    return sum(selection_sizes) / len(selection_sizes)
-
-
-def data_seen(sample_counts: Iterable[int]) -> int:
-    return int(sum(sample_counts))
 
 
 class CostLedger:

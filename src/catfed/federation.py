@@ -93,7 +93,6 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     cost: CostModel = field(default_factory=CostModel)
     seed: int = 0
-    metadata_pool: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -140,19 +139,9 @@ class ExperimentResult:
         return self.records[-1].cumulative_cost
 
 
-def metadata_round(
-    clients: tuple[ClientState, ...], pool: tuple[int, ...] | None = None
-) -> list[tuple[int, CategoryMask]]:
+def metadata_round(clients: tuple[ClientState, ...]) -> list[tuple[int, CategoryMask]]:
     """Category-mask advertisements, ascending client id (the selection order)."""
-    if pool is None:
-        chosen = clients
-    else:
-        by_id = {c.client_id: c for c in clients}
-        try:
-            chosen = tuple(by_id[j] for j in pool)
-        except KeyError as exc:
-            raise RoundError(f"metadata pool names unknown client {exc.args[0]}") from exc
-    return sorted(((c.client_id, c.mask) for c in chosen), key=lambda item: item[0])
+    return sorted(((c.client_id, c.mask) for c in clients), key=lambda item: item[0])
 
 
 class _RunningAverage:
@@ -317,7 +306,7 @@ def run_experiment(
     model = init_model(architecture, derive_rng(config.seed, STREAM_MODEL_INIT))
     ledger = CostLedger(config.cost)
 
-    pool = metadata_round(clients, config.metadata_pool)
+    pool = metadata_round(clients)
     records: list[RoundRecord] = []
     for round_index in range(1, config.rounds + 1):
         model, record = run_round(

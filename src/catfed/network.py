@@ -125,7 +125,7 @@ def _check_rows(model: ModelParams, batch: np.ndarray) -> np.ndarray:
 
 
 def _check_labels(model: ModelParams, labels: np.ndarray, rows: int) -> np.ndarray:
-    """One class label per row, as intp."""
+    """One class label per row, as intp (the caller's array when it is intp)."""
     labels = np.asarray(labels)
     if labels.shape != (rows,):
         raise ValueError(f"{rows} images vs {labels.size} labels")
@@ -134,7 +134,7 @@ def _check_labels(model: ModelParams, labels: np.ndarray, rows: int) -> np.ndarr
             f"labels must be in [0, {model.num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    return labels.astype(np.intp)
+    return labels.astype(np.intp, copy=False)
 
 
 def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -21,6 +21,13 @@ first so they land on high-capacity clients.  Samples are then drawn without
 replacement from per-category pools, split as evenly as possible across each
 client's categories; exhausted pools fall back to drawing with replacement and
 the event is recorded.
+
+A spec's ``imbalance = (k, r)`` is the global class imbalance: before any of
+that, the k lowest category ids are shrunk to a fraction r of their rows,
+drawn from the spec seed's imbalance stream, and only the kept rows are
+partitioned.  Assignments always index the split they were generated from,
+so an imbalanced partition needs no copy of the data, and its export reloads
+against the real labels.
 """
 
 from __future__ import annotations
@@ -330,6 +337,30 @@ def _draw_samples(
     return assignments, events
 
 
+def _kept_rows(
+    spec: DistributionSpec, labels: np.ndarray, num_categories: int
+) -> np.ndarray | None:
+    """Ascending row ids left by ``spec.imbalance``; None keeps every row.
+
+    Each of the ``k`` lowest category ids keeps ``round(r * size)`` of its
+    rows, the dropped ones drawn from the imbalance stream of ``spec.seed``.
+    """
+    if spec.imbalance is None or spec.imbalance[0] == 0:
+        return None
+    minority_count, ratio = spec.imbalance
+    if minority_count >= num_categories:
+        raise ValueError(
+            f"minority count must be in [0, {num_categories}), got {minority_count}"
+        )
+    rng = derive_rng(spec.seed, STREAM_IMBALANCE)
+    keep = np.ones(labels.size, dtype=bool)
+    for c in range(minority_count):
+        members = np.flatnonzero(labels == c)
+        retain = int(round(ratio * members.size))
+        keep[rng.choice(members, size=members.size - retain, replace=False)] = False
+    return np.flatnonzero(keep)
+
+
 def generate_partition_from_labels(
     spec: DistributionSpec, labels: np.ndarray, num_categories: int
 ) -> ClientPartition:
@@ -337,6 +368,8 @@ def generate_partition_from_labels(
     count_bounds, presence_bounds = kind_bounds(
         spec.kind, num_categories, spec.num_clients, spec.samples_per_client
     )
+    kept = _kept_rows(spec, labels, num_categories)
+    pool_labels = labels if kept is None else labels[kept]
     last_error = "no attempt made"
     for attempt in range(_MAX_ATTEMPTS):
         rng = derive_rng(spec.seed, STREAM_PARTITION, attempt)
@@ -360,12 +393,14 @@ def generate_partition_from_labels(
                     for k in counts
                 ]
             assignments, events = _draw_samples(
-                client_categories, labels, spec.samples_per_client,
+                client_categories, pool_labels, spec.samples_per_client,
                 num_categories, rng,
             )
         except GenerationError as exc:
             last_error = str(exc)
             continue
+        if kept is not None:
+            assignments = [kept[a] for a in assignments]
 
         masks = tuple(
             build_mask(labels[a], num_categories) for a in assignments
@@ -453,52 +488,6 @@ def partition_stats(partition: ClientPartition) -> PartitionStats:
     return PartitionStats(
         category_presence=partition.category_presence.copy(),
         client_category_counts=np.bincount(sizes, minlength=partition.num_categories + 1),
-    )
-
-
-def apply_global_imbalance(
-    dataset: LabeledDataset,
-    minority_count: int = 4,
-    ratio: float = 0.1,
-    seed: int = 0,
-    minority_categories: list[int] | None = None,
-) -> LabeledDataset:
-    """Subsample ``minority_count`` categories to ``ratio`` of their original size.
-
-    By default the lowest category ids are the minorities; pass
-    ``minority_categories`` to override.  Everything else is kept, original
-    sample order preserved.
-    """
-    if minority_count == 0:
-        return dataset
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-    if minority_count >= dataset.num_categories or minority_count < 0:
-        raise ValueError(
-            f"minority_count must be in [0, {dataset.num_categories}), got {minority_count}"
-        )
-    chosen = (
-        list(range(minority_count))
-        if minority_categories is None
-        else list(minority_categories)
-    )
-    if len(chosen) != minority_count:
-        raise ValueError(
-            f"{len(chosen)} minority categories given, expected {minority_count}"
-        )
-    rng = derive_rng(seed, STREAM_IMBALANCE)
-    keep = np.ones(dataset.num_samples, dtype=bool)
-    for c in chosen:
-        members = np.flatnonzero(dataset.labels == c)
-        retain = int(round(ratio * members.size))
-        dropped = rng.choice(members, size=members.size - retain, replace=False)
-        keep[dropped] = False
-    kept = np.flatnonzero(keep)
-    return LabeledDataset(
-        images=dataset.images[kept],
-        labels=dataset.labels[kept],
-        num_categories=dataset.num_categories,
-        name=dataset.name,
     )
 
 

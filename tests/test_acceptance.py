@@ -34,7 +34,7 @@ from catfed import (
 )
 from catfed.cli import main
 from catfed.datasets import load_idx_labels
-from catfed.partitions import apply_global_imbalance, generate_partition_from_labels
+from catfed.partitions import generate_partition_from_labels
 from catfed.synthetic import FIXTURE_COUNTS, write_fixture
 from oracles import cost_pseudocode, minimal_cover_size, performance_pseudocode
 from test_network import fd_gradient, max_relative_error
@@ -261,7 +261,7 @@ def test_loss_decomposition_identity(mnist_pair, d1_runs):
         "loss decomposition identity",
         worst <= 1e-9 and undefined_seen,
         f"client-major vs category-major gap {worst:.2e} <= 1e-9 on randomized "
-        f"and trained evaluations (plus an in-run audit every round)",
+        f"and trained evaluations",
     )
 
 
@@ -400,13 +400,12 @@ def test_n_sweep_coverage():
 
 def test_global_imbalance_trend(mnist_pair):
     train, test = mnist_pair
-    skewed = apply_global_imbalance(train, minority_count=4, ratio=0.1, seed=0)
-    spec = DistributionSpec(kind="D1", seed=0, **FULL_SCALE)
-    part = generate_partition(spec, skewed)
+    spec = DistributionSpec(kind="D1", imbalance=(4, 0.1), seed=0, **FULL_SCALE)
+    part = generate_partition(spec, train)
     finals = {}
     for strategy in ("fedavg_random", "cat_performance"):
         cfg = ExperimentConfig(strategy=strategy, rounds=50, seed=0)
-        finals[strategy] = run_experiment(cfg, skewed, part, test).final_accuracy
+        finals[strategy] = run_experiment(cfg, train, part, test).final_accuracy
     gap = finals["cat_performance"] - finals["fedavg_random"]
     check(
         "global imbalance trend",

@@ -1,8 +1,23 @@
-"""End-to-end CLI tests on a tiny on-disk dataset."""
+"""End-to-end CLI tests on a tiny on-disk dataset, and the demo scripts."""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catfed
+from catfed import (
+    DatasetSpec,
+    DistributionSpec,
+    generate_partition,
+    load_dataset,
+    load_partition,
+)
 from catfed.cli import (
     CSV_HEADER,
     SWEEP_HEADER,
@@ -161,6 +176,66 @@ class TestSweepN:
         with pytest.raises(ValueError):
             _parse_n_values("0")
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("a-3", "--n: 'a-3' is neither an integer nor a range N-M"),
+            ("3,,4", "--n: '' is neither an integer nor a range N-M"),
+            ("0", "--n: N values must be >= 1, got '0'"),
+            ("1,-2", "--n: N values must be >= 1, got '-2'"),
+            ("5-3", "--n: range '5-3' runs backwards"),
+        ],
+        ids=["bad-range-end", "empty-token", "zero", "negative", "reversed-range"],
+    )
+    def test_bad_n_names_option_and_token(self, tmp_path, data_root, capsys, raw, message):
+        cfg = write_config(tmp_path, data_root, strategy="cat_cost")
+        assert main(["sweep-n", str(cfg), "--n", raw]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestImbalance:
+    """``minority_categories`` shrinks categories inside the partition spec."""
+
+    def test_export_reloads_against_the_real_labels(self, tmp_path, data_root):
+        out = tmp_path / "part.txt"
+        cfg = write_config(tmp_path, data_root, output=out, minority_categories=4)
+        assert main(["partition", str(cfg)]) == 0
+
+        train = load_dataset(DatasetSpec("mnist", "train", data_root))
+        spec = DistributionSpec(
+            kind="D1", num_clients=15, samples_per_client=30, imbalance=(4, 0.1), seed=1
+        )
+        expected = generate_partition(spec, train)
+        loaded = load_partition(out, train.labels)
+        assert loaded.spec == spec
+        assert loaded.masks == expected.masks
+        assert all(
+            np.array_equal(a, b) for a, b in zip(loaded.assignments, expected.assignments)
+        )
+
+    def test_run_and_sweep_print_the_exhausted_pool_note(self, tmp_path, data_root, capsys):
+        def notes():
+            return [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("note: ")
+            ]
+
+        keys = {"minority_categories": 4, "strategy": "cat_cost"}
+        part_cfg = write_config(tmp_path, data_root, "p.cfg", output=tmp_path / "p.txt", **keys)
+        assert main(["partition", str(part_cfg)]) == 0
+        expected = notes()
+        assert len(expected) == 1 and "exhausted-pool draws" in expected[0]
+
+        out = tmp_path / "run.csv"
+        assert main(["run", str(write_config(tmp_path, data_root, output=out, **keys))]) == 0
+        assert notes() == expected
+        sweep = tmp_path / "sweep.csv"
+        cfg = write_config(tmp_path, data_root, "s.cfg", output=sweep, rounds=1, **keys)
+        assert main(["sweep-n", str(cfg), "--n", "1-2"]) == 0
+        assert notes() == expected
+        for path in (out, tmp_path / "run.summary.txt", sweep, tmp_path / "sweep.summary.txt"):
+            assert "note" not in path.read_text(encoding="utf-8")
+
 
 class TestInspectAndTrace:
     def test_inspect_dataset(self, tmp_path, data_root, capsys):
@@ -227,3 +302,37 @@ def test_records_to_csv_uses_repr_floats():
     )
     line = records_to_csv((record,)).splitlines()[1]
     assert line == "1,cat_cost,3,10,0.30000000000000004,2.302585092994046,3.0,3.0,90"
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def test_demos_run_and_their_imports_resolve(tmp_path):
+    # The two quick demos run end to end; the third, which trains for about
+    # half a minute, is compiled and its catfed imports are looked up.
+    src = Path(catfed.__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        "CATFED_DATA_ROOT": str(tmp_path / "data"),
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+    }
+    for name in ("selection_walkthrough.py", "partition_gallery.py"):
+        done = subprocess.run(
+            [sys.executable, str(DEMOS / name)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, f"{name}: {done.stderr}"
+        assert done.stdout
+
+    path = DEMOS / "coverage_vs_random.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    compile(tree, str(path), "exec")
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "catfed"
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

@@ -6,10 +6,8 @@ from catfed import (
     CostModel,
     check_loss_decomposition,
     cumulative_cost,
-    data_seen,
     evaluate,
     init_model,
-    marginal_cost_per_client_per_round,
     round_cost,
 )
 
@@ -29,11 +27,6 @@ class TestCostModel:
         model = CostModel()
         assert cumulative_cost(model, [1, 2, 3]) == 6.0
 
-    def test_marginal_cost_is_mean_k(self):
-        model = CostModel()
-        assert marginal_cost_per_client_per_round(model, [19] * 5) == 19
-        assert marginal_cost_per_client_per_round(model, [10, 20]) == 15
-
     def test_marginal_matches_numeric_derivative(self):
         # Cumulative cost is linear in the client price, so any h is exact.
         sizes = [4, 9, 2, 7]
@@ -41,21 +34,14 @@ class TestCostModel:
         base = cumulative_cost(CostModel(client_cost=1.0), sizes)
         bumped = cumulative_cost(CostModel(client_cost=1.0 + h), sizes)
         numeric = (bumped - base) / (h * len(sizes))
-        assert numeric == pytest.approx(
-            marginal_cost_per_client_per_round(CostModel(), sizes), rel=1e-12
-        )
-
-    def test_data_seen(self):
-        assert data_seen([600] * 10 ) == 6000
-        assert data_seen([]) == 0
+        # Per round, that slope is the mean number of clients.
+        assert numeric == pytest.approx(sum(sizes) / len(sizes), rel=1e-12)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             CostModel(client_cost=-1.0)
         with pytest.raises(ValueError):
             round_cost(CostModel(), -2)
-        with pytest.raises(ValueError):
-            marginal_cost_per_client_per_round(CostModel(), [])
 
 
 class TestLedger:

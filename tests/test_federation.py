@@ -196,19 +196,6 @@ class TestMetadata:
         pool = metadata_round(clients)
         assert [cid for cid, _ in pool] == [0, 1, 2]
 
-    def test_pool_restriction(self):
-        clients = tuple(
-            ClientState(j, np.array([j]), CategoryMask(1 << (j % 3), 3))
-            for j in range(5)
-        )
-        pool = metadata_round(clients, pool=(3, 1))
-        assert [cid for cid, _ in pool] == [1, 3]
-
-    def test_unknown_pool_member_rejected(self):
-        clients = (ClientState(0, np.array([0]), CategoryMask(1, 2)),)
-        with pytest.raises(RoundError, match="unknown client"):
-            metadata_round(clients, pool=(7,))
-
 
 class TestFedavgK:
     def test_default_scale(self):
@@ -264,12 +251,6 @@ class TestRunExperiment:
         )
         result = run_experiment(cfg, train, part, test)
         assert all(r.selected_k == 3 for r in result.records)
-
-    def test_metadata_pool_limits_selection(self):
-        cfg, train, part, test = small_setup(rounds=2, metadata_pool=(0, 1, 2, 3))
-        result = run_experiment(cfg, train, part, test)
-        for rec in result.records:
-            assert set(rec.selected) <= {0, 1, 2, 3}
 
     def test_category_strategies_cover_when_unlimited(self):
         cfg, train, part, test = small_setup(strategy="cat_performance")

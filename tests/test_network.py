@@ -817,6 +817,23 @@ def test_cohort_training_allocates_nothing_per_batch():
     assert peak <= held + COHORT * LOOP_SLACK
 
 
+def test_training_reads_intp_labels_in_place():
+    # A round trains a few clients against the whole split: the split's
+    # labels, already intp, are read where they are, not copied per call.
+    rng = np.random.default_rng(33)
+    model = init_model([4, 3, 10], rng)
+    n = 60_000
+    x = rng.integers(0, 256, (n, 4), dtype=np.uint8)
+    y = rng.integers(0, 10, n).astype(np.intp)
+    members = [np.arange(32), np.arange(32, 64)]
+    cfg = TrainConfig(batch_size=8)
+    peak = _traced_peak(lambda: train_clients(
+        model, x, y, members, cfg,
+        [np.random.default_rng(i) for i in range(2)], lambda *_: None,
+    ))
+    assert peak < y.nbytes // 8
+
+
 def test_eval_report_is_plain_data():
     r = EvalReport(accuracy=0.5, total_loss=1.0, summed_loss=2.0, num_samples=2)
     assert r.accuracy == 0.5 and r.per_category_loss == {}

@@ -1,21 +1,30 @@
+import dataclasses
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catfed import (
+    STRATEGIES,
     DistributionSpec,
+    ExperimentConfig,
     GenerationError,
     LabeledDataset,
-    apply_global_imbalance,
+    TrainConfig,
     generate_partition,
     load_partition,
     partition_stats,
+    run_experiment,
     save_partition,
     validate_partition,
 )
-from catfed.partitions import kind_bounds
-from conftest import make_dataset
+from catfed.cli import records_to_csv
+from catfed.partitions import _kept_rows, generate_partition_from_labels, kind_bounds
+from catfed.seeding import STREAM_IMBALANCE, derive_rng
+from conftest import make_dataset, make_pair
 
 
 def dataset_for(kind: str, num_clients=100, samples_per_client=40, seed=0):
@@ -162,49 +171,125 @@ class TestKindBounds:
         assert presence[1] <= 10
 
 
+def kept_rows(dataset, minority_count, ratio=0.1, seed=0):
+    spec = DistributionSpec(kind="D1", imbalance=(minority_count, ratio), seed=seed)
+    return _kept_rows(spec, dataset.labels, dataset.num_categories)
+
+
+def copy_path_transcription(
+    dataset: LabeledDataset, minority_count: int, ratio: float, seed: int
+) -> LabeledDataset:
+    """Reference: the imbalance as a copy of the kept rows, partitioned afterwards
+    with no imbalance in the spec.  Its runs must match the spec's imbalance."""
+    rng = derive_rng(seed, STREAM_IMBALANCE)
+    keep = np.ones(dataset.num_samples, dtype=bool)
+    for c in range(minority_count):
+        members = np.flatnonzero(dataset.labels == c)
+        retain = int(round(ratio * members.size))
+        dropped = rng.choice(members, size=members.size - retain, replace=False)
+        keep[dropped] = False
+    kept = np.flatnonzero(keep)
+    return LabeledDataset(
+        images=dataset.images[kept],
+        labels=dataset.labels[kept],
+        num_categories=dataset.num_categories,
+        name=dataset.name,
+    )
+
+
 class TestImbalance:
     def test_minority_classes_subsampled(self, tiny_dataset):
-        out = apply_global_imbalance(tiny_dataset, minority_count=2, ratio=0.1, seed=0)
+        kept = kept_rows(tiny_dataset, minority_count=2, ratio=0.1, seed=0)
         before = tiny_dataset.class_counts()
-        after = out.class_counts()
+        after = np.bincount(tiny_dataset.labels[kept], minlength=6)
         for c in (0, 1):
             assert after[c] == round(0.1 * before[c])
         for c in range(2, 6):
             assert after[c] == before[c]
 
-    def test_explicit_minority_ids(self, tiny_dataset):
-        out = apply_global_imbalance(
-            tiny_dataset, minority_count=1, ratio=0.5, seed=0, minority_categories=[4]
-        )
-        before = tiny_dataset.class_counts()
-        after = out.class_counts()
-        assert after[4] == round(0.5 * before[4])
-        assert after[0] == before[0]
-
     def test_sample_order_preserved(self, tiny_dataset):
-        out = apply_global_imbalance(tiny_dataset, minority_count=2, ratio=0.2, seed=1)
+        kept = kept_rows(tiny_dataset, minority_count=2, ratio=0.2, seed=1)
+        assert np.all(np.diff(kept) > 0)
         # Surviving samples appear in their original relative order.
-        kept_labels = out.labels
+        kept_labels = tiny_dataset.labels[kept]
         majority = kept_labels[kept_labels >= 2]
         original_majority = tiny_dataset.labels[tiny_dataset.labels >= 2]
         assert np.array_equal(majority, original_majority)
 
     def test_zero_minorities_is_identity(self, tiny_dataset):
-        assert apply_global_imbalance(tiny_dataset, minority_count=0) is tiny_dataset
+        assert kept_rows(tiny_dataset, minority_count=0) is None
+        spec = DistributionSpec(kind="D1")
+        assert _kept_rows(spec, tiny_dataset.labels, 6) is None
 
     def test_invalid_arguments(self, tiny_dataset):
         with pytest.raises(ValueError, match="ratio"):
-            apply_global_imbalance(tiny_dataset, minority_count=1, ratio=1.0)
-        with pytest.raises(ValueError, match="minority_count"):
-            apply_global_imbalance(tiny_dataset, minority_count=6, ratio=0.1)
+            DistributionSpec(kind="D1", imbalance=(1, 1.0))
+        with pytest.raises(ValueError, match=r"minority count must be in \[0, 6\), got 6"):
+            kept_rows(tiny_dataset, minority_count=6, ratio=0.1)
 
     def test_deterministic(self, tiny_dataset):
-        a = apply_global_imbalance(tiny_dataset, minority_count=2, ratio=0.1, seed=3)
-        b = apply_global_imbalance(tiny_dataset, minority_count=2, ratio=0.1, seed=3)
-        assert np.array_equal(a.labels, b.labels)
+        a = kept_rows(tiny_dataset, minority_count=2, ratio=0.1, seed=3)
+        b = kept_rows(tiny_dataset, minority_count=2, ratio=0.1, seed=3)
+        assert np.array_equal(a, b)
+
+    def test_spec_imbalance_indexes_the_real_split(self):
+        ds = dataset_for("D1")
+        plain = DistributionSpec(kind="D1", num_clients=30, samples_per_client=25, seed=11)
+        skewed = dataclasses.replace(plain, imbalance=(4, 0.1))
+        a, b = generate_partition(plain, ds), generate_partition(skewed, ds)
+        assert any(not np.array_equal(x, y) for x, y in zip(a.assignments, b.assignments))
+        kept = _kept_rows(skewed, ds.labels, ds.num_categories)
+        assert kept.size < ds.num_samples
+        assert np.isin(np.concatenate(b.assignments), kept).all()
+        assert validate_partition(b, ds.labels) == []
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_run_matches_copy_path(self, strategy):
+        train, test = make_pair(train_samples=1200, num_pixels=12, seed=2)
+        spec = DistributionSpec(
+            kind="D1", num_clients=20, samples_per_client=30, imbalance=(4, 0.2), seed=3
+        )
+        config = ExperimentConfig(
+            strategy=strategy, rounds=4, hidden=(8,), seed=3,
+            train=TrainConfig(learning_rate=0.1, batch_size=8),
+        )
+        new = run_experiment(config, train, generate_partition(spec, train), test)
+        skewed = copy_path_transcription(train, 4, 0.2, seed=3)
+        old_part = generate_partition(dataclasses.replace(spec, imbalance=None), skewed)
+        old = run_experiment(config, skewed, old_part, test)
+        assert records_to_csv(new.records) == records_to_csv(old.records)
+
+
+ROUND_TRIP_LABELS = np.random.default_rng(0).permutation(np.repeat(np.arange(10), 60))
 
 
 class TestExport:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["D1", "D6", "D7", "D8", "D9", "D10"]),
+        num_clients=st.integers(1, 20),
+        samples_per_client=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+        imbalance=st.none() | st.tuples(st.integers(0, 9), st.floats(0.05, 0.95)),
+    )
+    def test_round_trip_property(self, kind, num_clients, samples_per_client, seed,
+                                 imbalance):
+        labels = ROUND_TRIP_LABELS
+        spec = DistributionSpec(
+            kind=kind, num_clients=num_clients, samples_per_client=samples_per_client,
+            imbalance=imbalance, seed=seed,
+        )
+        part = generate_partition_from_labels(spec, labels, 10)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "part.txt"
+            save_partition(part, path)
+            loaded = load_partition(path, labels)
+        assert loaded.spec == spec
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.assignments, part.assignments))
+        assert loaded.masks == part.masks
+        assert np.array_equal(loaded.category_presence, part.category_presence)
+        assert validate_partition(loaded, labels) == []
+
     def test_round_trip_reproduces_masks(self, tmp_path):
         ds = dataset_for("D1")
         spec = DistributionSpec(
