@@ -4,7 +4,8 @@ The format is one ``key = value`` per line; ``#`` starts a comment and blank
 lines are skipped.  Unknown or duplicate keys, and values outside their key's
 domain, are rejected with the line number so typos fail loudly instead of
 silently running defaults or failing later.
-``parse_config(serialize_config(cfg))`` returns an equal config.
+``parse_config(serialize_config(cfg))`` returns an equal config; a string
+value the format cannot carry is refused by ``serialize_config``.
 """
 
 from __future__ import annotations
@@ -199,7 +200,25 @@ def load_config(path) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+def _unwritable(key: str, value: str) -> str | None:
+    """Why parse_config would not read ``value`` back for ``key``, if it would not."""
+    if "#" in value:
+        return "'#' starts a comment"
+    if "".join(value.splitlines()) != value:
+        return "a line break ends the line"
+    if value != value.strip():
+        return "outer whitespace is stripped"
+    parsed = _PARSERS[key](value)
+    if parsed != value:
+        return f"it reads back as {parsed!r}"
+    return None
+
+
 def serialize_config(config: RunConfig) -> str:
+    """The config as ``key = value`` lines that parse_config reads back equal.
+
+    Raises ConfigError, naming the key, for a string value it cannot write.
+    """
     lines = []
     for f in fields(RunConfig):
         value = getattr(config, f.name)
@@ -207,6 +226,11 @@ def serialize_config(config: RunConfig) -> str:
             rendered = "none"
         elif isinstance(value, float):
             rendered = repr(value)
+        elif isinstance(value, str):
+            reason = _unwritable(f.name, value)
+            if reason:
+                raise ConfigError(f"{f.name}: cannot write {value!r}: {reason}")
+            rendered = value
         else:
             rendered = str(value)
         lines.append(f"{f.name} = {rendered}")

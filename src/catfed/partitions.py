@@ -22,6 +22,14 @@ replacement from per-category pools, split as evenly as possible across each
 client's categories; exhausted pools fall back to drawing with replacement and
 the event is recorded.
 
+Both steps after that are array code.  The draw computes every (client,
+category) pair's quota and pool slice at once and fills a (clients, samples)
+index array with one gather; only the exhausted-pool pairs loop, in (client,
+category) order, so the random stream and the replacement events are those of
+a draw made pair by pair.  The masks and ``category_presence`` are read off a
+(clients x categories) bincount table.  Both work in blocks of ``_BLOCK_ROWS``
+sampled rows, so no index temporary grows with the partition.
+
 A spec's ``imbalance = (k, r)`` is the global class imbalance: before any of
 that, the k lowest category ids are shrunk to a fraction r of their rows,
 drawn from the spec seed's imbalance stream, and only the kept rows are
@@ -40,7 +48,7 @@ import numpy as np
 from .datasets import LabeledDataset
 from .errors import GenerationError
 from .seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
-from .selection import CategoryMask, build_mask
+from .selection import CategoryMask, _category_ids, _mask_bits
 
 KINDS = tuple(f"D{i}" for i in range(1, 11))
 
@@ -61,6 +69,10 @@ _FIXED_COUNTS = {
 }
 
 _MAX_ATTEMPTS = 20
+
+# Sampled rows handled per step where a step over all of them would make
+# full-size index temporaries.
+_BLOCK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -307,34 +319,92 @@ def _draw_samples(
     samples_per_client: int,
     num_categories: int,
     rng: np.random.Generator,
-):
-    pools = []
-    for c in range(num_categories):
-        pool = np.flatnonzero(labels == c)
-        pools.append(rng.permutation(pool) if pool.size else pool)
-    cursors = np.zeros(num_categories, dtype=np.int64)
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Each client's sample indices as one (clients, samples_per_client) array.
 
-    assignments: list[np.ndarray] = []
+    Every category's rows are permuted once, in category order.  A client
+    splits its samples over its (client, category) pairs as evenly as one
+    ``divmod`` allows, earlier categories taking the remainder; each
+    category's pairs take consecutive slices of its permuted pool in client
+    order, and one gather, taken in blocks, reads them all.  A pair that
+    finds the pool exhausted draws its shortfall with replacement, in
+    (client, category) order, so the random stream and the returned
+    replacement events are the ones a per-pair loop makes.
+    """
+    # Category c's permuted pool is pool_rows[bounds[c]:bounds[c + 1]].
+    pool_rows = np.empty(labels.size, dtype=np.intp)
+    bounds = np.zeros(num_categories + 1, dtype=np.intp)
+    for c in range(num_categories):
+        rows = np.flatnonzero(labels == c)
+        if rows.size:
+            rng.shuffle(rows)
+        bounds[c + 1] = bounds[c] + rows.size
+        pool_rows[bounds[c] : bounds[c + 1]] = rows
+    sizes = np.diff(bounds)
+
+    # One entry per (client, category) pair, in client order.
+    per_client = np.array([len(cats) for cats in client_categories])
+    cats = np.concatenate(client_categories)
+    empty = np.flatnonzero(sizes[cats] == 0)
+    if empty.size:
+        raise GenerationError(f"dataset holds no samples of category {cats[empty[0]]}")
+    owner = np.repeat(np.arange(per_client.size), per_client)
+    position = np.arange(cats.size) - (np.cumsum(per_client) - per_client)[owner]
+    base, rem = divmod(samples_per_client, per_client)
+    quota = base[owner] + (position < rem[owner])
+
+    # How much of its category's pool the earlier pairs of that category used.
+    by_category = np.argsort(cats, kind="stable")
+    used = np.cumsum(quota[by_category]) - quota[by_category]
+    first_of_category = np.searchsorted(cats[by_category], cats[by_category])
+    cursor = np.empty_like(used)
+    cursor[by_category] = used - used[first_of_category]
+    take = np.clip(sizes[cats] - cursor, 0, quota)
+
+    # Pair p fills flat slots [out_start[p], out_start[p] + quota[p]); its
+    # first take[p] slots read its category's pool from cursor[p] onwards.
+    out_start = np.cumsum(quota) - quota
+    # Slot i reads pool position drawn[i] + i; an exhausted pair's extra slots
+    # read past its pool (clipped) and are overwritten below.
+    drawn = np.repeat(bounds[cats] + cursor - out_start, quota)
+    for lo in range(0, drawn.size, _BLOCK_ROWS):
+        block = drawn[lo : lo + _BLOCK_ROWS]
+        block += np.arange(lo, lo + block.size)
+        block[:] = pool_rows.take(block, mode="clip")
+
     events: list[tuple[int, int, int]] = []
-    for j, cats in enumerate(client_categories):
-        base, rem = divmod(samples_per_client, len(cats))
-        chunks: list[np.ndarray] = []
-        for pos, c in enumerate(cats):
-            quota = base + (1 if pos < rem else 0)
-            pool = pools[c]
-            if pool.size == 0:
-                raise GenerationError(f"dataset holds no samples of category {c}")
-            take = min(quota, pool.size - int(cursors[c]))
-            if take > 0:
-                chunks.append(pool[cursors[c] : cursors[c] + take])
-                cursors[c] += take
-            short = quota - take
-            if short > 0:
-                # Global pool exhausted: fall back to drawing with replacement.
-                chunks.append(rng.choice(pool, size=short, replace=True))
-                events.append((j, int(c), short))
-        assignments.append(np.concatenate(chunks))
-    return assignments, events
+    for p in np.flatnonzero(take < quota):
+        c, short = int(cats[p]), int(quota[p] - take[p])
+        pool = pool_rows[bounds[c] : bounds[c + 1]]
+        # Pool exhausted: fall back to drawing with replacement.
+        drawn[out_start[p] + take[p] : out_start[p] + quota[p]] = rng.choice(
+            pool, size=short, replace=True
+        )
+        events.append((int(owner[p]), c, short))
+    return drawn.reshape(len(client_categories), samples_per_client), events
+
+
+def _masks_and_presence(
+    assignments, labels: np.ndarray, num_categories: int
+) -> tuple[tuple[CategoryMask, ...], np.ndarray]:
+    """Every client's mask and the category presence of ``assignments``.
+
+    Each block of clients is one bincount of ``client * C + label`` read as a
+    (clients x C) table.  A label outside [0, C) raises build_mask's
+    ValueError, naming the first one in client order.
+    """
+    sizes = np.array([len(a) for a in assignments])
+    held = np.empty((sizes.size, num_categories), dtype=bool)
+    step = max(1, _BLOCK_ROWS // int(sizes.max(initial=1)))
+    for lo in range(0, sizes.size, step):
+        count = min(step, sizes.size - lo)
+        ids = _category_ids(labels[np.concatenate(assignments[lo : lo + count])],
+                            num_categories)
+        keys = ids + np.repeat(np.arange(count) * num_categories, sizes[lo : lo + count])
+        table = np.bincount(keys, minlength=count * num_categories)
+        held[lo : lo + count] = table.reshape(count, num_categories) > 0
+    masks = tuple(CategoryMask(_mask_bits(row), num_categories) for row in held)
+    return masks, held.sum(axis=0, dtype=np.int64)
 
 
 def _kept_rows(
@@ -400,21 +470,14 @@ def generate_partition_from_labels(
             last_error = str(exc)
             continue
         if kept is not None:
-            assignments = [kept[a] for a in assignments]
-
-        masks = tuple(
-            build_mask(labels[a], num_categories) for a in assignments
-        )
-        presence_realized = np.zeros(num_categories, dtype=np.int64)
-        for m in masks:
-            for c in m.categories():
-                presence_realized[c] += 1
+            assignments = kept.take(assignments)
+        masks, presence = _masks_and_presence(assignments, labels, num_categories)
         return ClientPartition(
             spec=spec,
             num_categories=num_categories,
             assignments=tuple(assignments),
             masks=masks,
-            category_presence=presence_realized,
+            category_presence=presence,
             replacement_events=tuple(events),
         )
     raise GenerationError(
@@ -436,13 +499,15 @@ def validate_partition(partition: ClientPartition, labels: np.ndarray) -> list[s
         spec.kind, partition.num_categories, spec.num_clients, spec.samples_per_client
     )
 
+    expected, _ = _masks_and_presence(
+        partition.assignments, labels, partition.num_categories
+    )
     for j, (assigned, mask) in enumerate(zip(partition.assignments, partition.masks)):
         if len(assigned) != spec.samples_per_client:
             problems.append(
                 f"client {j}: {len(assigned)} samples != {spec.samples_per_client}"
             )
-        expected = build_mask(labels[assigned], partition.num_categories)
-        if expected != mask:
+        if expected[j] != mask:
             problems.append(f"client {j}: stored mask disagrees with assigned labels")
         k = mask.popcount()
         if not count_bounds[0] <= k <= count_bounds[1]:
@@ -572,11 +637,7 @@ def load_partition(path, labels: np.ndarray) -> ClientPartition:
         raise ValueError(
             f"{path}: {len(assignments)} client lines, header says {spec.num_clients}"
         )
-    masks = tuple(build_mask(labels[a], num_categories) for a in assignments)
-    presence = np.zeros(num_categories, dtype=np.int64)
-    for m in masks:
-        for c in m.categories():
-            presence[c] += 1
+    masks, presence = _masks_and_presence(assignments, labels, num_categories)
     return ClientPartition(
         spec=spec,
         num_categories=num_categories,

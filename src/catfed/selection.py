@@ -79,9 +79,33 @@ class CategoryMask:
         return self.union(other)
 
 
+def _category_ids(labels, num_categories: int) -> np.ndarray:
+    """``labels`` as a flat integer array, every id checked to be in range.
+
+    Non-integer labels are refused rather than truncated; the range error
+    names the first bad label in input order.  An empty input passes.
+    """
+    ids = np.asarray(labels).ravel()
+    if ids.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= num_categories:
+        first = ids[np.argmax((ids < 0) | (ids >= num_categories))]
+        raise ValueError(f"category {first} out of range [0, {num_categories})")
+    return ids.astype(np.intp, copy=False)
+
+
+def _mask_bits(present: np.ndarray) -> int:
+    """The int whose bit i is set iff ``present[i]`` is true."""
+    return int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
+
+
 def build_mask(labels, num_categories: int) -> CategoryMask:
     """Mask with bit i set iff label i occurs at least once in ``labels``."""
-    return CategoryMask.from_categories(labels, num_categories)
+    ids = _category_ids(labels, num_categories)
+    present = np.bincount(ids, minlength=num_categories) > 0
+    return CategoryMask(_mask_bits(present), num_categories)
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,46 @@ class TestRoundTrip:
         )
         assert parse_config(serialize_config(cfg)) == cfg
 
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("output", "runs/a#b.csv", "'#' starts a comment"),
+            ("output", " padded.csv", "outer whitespace is stripped"),
+            ("output", "a\nb.csv", "a line break ends the line"),
+            ("data_root", "data\r", "a line break ends the line"),
+            ("data_root", "None", "it reads back as None"),
+            ("data_root", "nOnE", "it reads back as None"),
+        ],
+        ids=["hash", "padded", "newline", "carriage-return", "none", "none-mixed-case"],
+    )
+    def test_unwritable_string_names_its_key(self, key, value, reason):
+        cfg = RunConfig(**{key: value})
+        with pytest.raises(ConfigError) as info:
+            serialize_config(cfg)
+        assert str(info.value) == f"{key}: cannot write {value!r}: {reason}"
+
+
+# Text built to trip the format: comment and key/value markers, every kind of
+# line break str.splitlines knows, whitespace, and spellings of none.
+_ADVERSARIAL_TEXT = st.text(
+    alphabet=st.sampled_from(list("#= \t\n\r\x0b\x0c\x1c\x85\u2028\xa0aNnoe/.")),
+    max_size=12,
+) | st.sampled_from(["none", "None", " none", "NONE", "none#", "a = b"])
+
+
+@given(output=_ADVERSARIAL_TEXT, data_root=st.none() | _ADVERSARIAL_TEXT)
+def test_serialized_config_parses_back_equal_property(output, data_root):
+    try:
+        cfg = RunConfig(output=output, data_root=data_root)
+    except ConfigError:
+        return  # out of domain (empty), so there is nothing to serialize
+    try:
+        text = serialize_config(cfg)
+    except ConfigError as exc:
+        assert str(exc).startswith(("output: cannot write", "data_root: cannot write"))
+        return
+    assert parse_config(text) == cfg
+
 
 # An out-of-domain value for each numeric key.
 _BAD_VALUES = {

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from catfed import (
     STRATEGIES,
+    CategoryMask,
     DistributionSpec,
     ExperimentConfig,
     GenerationError,
@@ -22,8 +24,14 @@ from catfed import (
     validate_partition,
 )
 from catfed.cli import records_to_csv
-from catfed.partitions import _kept_rows, generate_partition_from_labels, kind_bounds
-from catfed.seeding import STREAM_IMBALANCE, derive_rng
+from catfed import partitions
+from catfed.partitions import (
+    KINDS,
+    _kept_rows,
+    generate_partition_from_labels,
+    kind_bounds,
+)
+from catfed.seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
 from conftest import make_dataset, make_pair
 
 
@@ -382,3 +390,154 @@ class TestExportRejections:
         path, load = self.load(tmp_path, header=GOOD_HEADER.replace(" seed=0", ""))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: header lacks seed"):
             load()
+
+
+def reference_draw_samples(client_categories, labels, samples_per_client, num_categories,
+                           rng):
+    """Reference: the per-chunk draw the array form replaced, one slice per
+    (client, category) pair."""
+    pools = []
+    for c in range(num_categories):
+        pool = np.flatnonzero(labels == c)
+        pools.append(rng.permutation(pool) if pool.size else pool)
+    cursors = np.zeros(num_categories, dtype=np.int64)
+
+    assignments = []
+    events = []
+    for j, cats in enumerate(client_categories):
+        base, rem = divmod(samples_per_client, len(cats))
+        chunks = []
+        for pos, c in enumerate(cats):
+            quota = base + (1 if pos < rem else 0)
+            pool = pools[c]
+            if pool.size == 0:
+                raise GenerationError(f"dataset holds no samples of category {c}")
+            take = min(quota, pool.size - int(cursors[c]))
+            if take > 0:
+                chunks.append(pool[cursors[c] : cursors[c] + take])
+                cursors[c] += take
+            short = quota - take
+            if short > 0:
+                chunks.append(rng.choice(pool, size=short, replace=True))
+                events.append((j, int(c), short))
+        assignments.append(np.concatenate(chunks))
+    return assignments, events
+
+
+def reference_partition(spec, labels, num_categories):
+    """Reference: generate_partition_from_labels with the per-chunk draw and
+    the per-label mask loop (one CategoryMask per client, presence counted
+    mask by mask)."""
+    count_bounds, presence_bounds = kind_bounds(
+        spec.kind, num_categories, spec.num_clients, spec.samples_per_client
+    )
+    kept = _kept_rows(spec, labels, num_categories)
+    pool_labels = labels if kept is None else labels[kept]
+    last_error = "no attempt made"
+    for attempt in range(partitions._MAX_ATTEMPTS):
+        rng = derive_rng(spec.seed, STREAM_PARTITION, attempt)
+        try:
+            counts = rng.integers(count_bounds[0], count_bounds[1] + 1, size=spec.num_clients)
+            if spec.kind in partitions._RANGE_KINDS:
+                presence = partitions._presence_profile(
+                    spec.kind, num_categories, int(counts.sum()), *presence_bounds, rng
+                )
+                client_categories = partitions._assign_categories(presence, counts, rng)
+            else:
+                client_categories = [
+                    np.sort(rng.choice(num_categories, size=int(k), replace=False))
+                    for k in counts
+                ]
+            assignments, events = reference_draw_samples(
+                client_categories, pool_labels, spec.samples_per_client, num_categories, rng
+            )
+        except GenerationError as exc:
+            last_error = str(exc)
+            continue
+        if kept is not None:
+            assignments = [kept[a] for a in assignments]
+        masks = tuple(
+            CategoryMask.from_categories(labels[a], num_categories) for a in assignments
+        )
+        presence_realized = np.zeros(num_categories, dtype=np.int64)
+        for m in masks:
+            for c in m.categories():
+                presence_realized[c] += 1
+        return assignments, masks, presence_realized, tuple(events)
+    raise GenerationError(
+        f"{spec.kind}: no feasible partition after {partitions._MAX_ATTEMPTS} attempts "
+        f"(last: {last_error})"
+    )
+
+
+def assert_matches_reference(spec, labels, num_categories):
+    try:
+        assignments, masks, presence, events = reference_partition(spec, labels, num_categories)
+    except GenerationError as exc:
+        with pytest.raises(GenerationError) as info:
+            generate_partition_from_labels(spec, labels, num_categories)
+        assert str(info.value) == str(exc)
+        return
+    part = generate_partition_from_labels(spec, labels, num_categories)
+    assert len(part.assignments) == len(assignments)
+    for new, old in zip(part.assignments, assignments):
+        assert new.dtype == old.dtype
+        assert np.array_equal(new, old)
+    assert part.masks == masks
+    assert part.category_presence.dtype == presence.dtype
+    assert np.array_equal(part.category_presence, presence)
+    assert part.replacement_events == events
+
+
+# The class counts each kind is defined for.
+KIND_CLASSES = {"D1": (10,), "D2": (47,), "D3": (49,), "D4": (47,), "D5": (49,)}
+
+
+@st.composite
+def small_label_specs(draw):
+    """A spec and labels with few rows per class, so pools run out; some
+    classes may have no rows at all."""
+    kind = draw(st.sampled_from(KINDS))
+    num_categories = draw(st.sampled_from(KIND_CLASSES.get(kind, (10, 47, 49))))
+    per_class = np.array(draw(st.lists(st.integers(1, 30), min_size=num_categories,
+                                       max_size=num_categories)))
+    per_class[sorted(draw(st.sets(st.integers(0, num_categories - 1), max_size=2)))] = 0
+    label_seed = draw(st.integers(0, 2**32 - 1))
+    labels = np.random.default_rng(label_seed).permutation(
+        np.repeat(np.arange(num_categories), per_class)
+    )
+    imbalance = draw(st.none() | st.tuples(st.integers(0, num_categories - 1),
+                                           st.floats(0.05, 0.95)))
+    spec = DistributionSpec(
+        kind=kind,
+        num_clients=draw(st.integers(1, 40)),
+        samples_per_client=draw(st.integers(1, 80)),
+        imbalance=imbalance,
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+    return spec, labels, num_categories
+
+
+class TestReferenceTranscription:
+    """The array-form draw and masks give the per-chunk, per-label results."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=small_label_specs(), block_rows=st.sampled_from([1, 7, 64, 1 << 13]))
+    def test_matches_reference_property(self, case, block_rows):
+        with mock.patch.object(partitions, "_BLOCK_ROWS", block_rows):
+            assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("kind", ["D1", "D8"])
+    def test_matches_reference_across_blocks(self, kind):
+        ds = dataset_for(kind)
+        spec = DistributionSpec(kind=kind, num_clients=300, samples_per_client=60, seed=1)
+        assert spec.num_clients * spec.samples_per_client > partitions._BLOCK_ROWS
+        assert_matches_reference(spec, ds.labels, ds.num_categories)
+
+    def test_missing_category_text_matches_reference(self):
+        labels = np.repeat(np.arange(10), 5)
+        labels = labels[labels != 3]
+        spec = DistributionSpec(kind="D10", num_clients=4, samples_per_client=20, seed=0)
+        with pytest.raises(GenerationError, match="dataset holds no samples of category 3"):
+            generate_partition_from_labels(spec, labels, 10)
+        assert_matches_reference(spec, labels, 10)

@@ -50,6 +50,25 @@ class TestCategoryMask:
         labels = np.array([1, 1, 4, 2])
         assert build_mask(labels, 5).categories() == (1, 2, 4)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_build_mask_takes_any_integer_dtype(self, dtype):
+        labels = np.array([1, 1, 4, 2], dtype=dtype)
+        assert build_mask(labels, 5).categories() == (1, 2, 4)
+
+    def test_build_mask_refuses_float_labels(self):
+        with pytest.raises(ValueError, match="labels must be integers, got dtype float64"):
+            build_mask(np.array([1.7, 3.2]), 10)
+
+    def test_build_mask_of_nothing_is_empty(self):
+        assert build_mask(np.array([]), 10) == CategoryMask(0, 10)
+        assert build_mask([], 3).categories() == ()
+
+    def test_build_mask_names_first_out_of_range_label(self):
+        with pytest.raises(ValueError, match=r"^category -1 out of range \[0, 10\)$"):
+            build_mask(np.array([3, -1, 12]), 10)
+        with pytest.raises(ValueError, match=r"^category 12 out of range \[0, 10\)$"):
+            build_mask([3, 12, -1], 10)
+
     @given(st.integers(1, 20), st.data())
     def test_popcount_matches_category_count(self, width, data):
         bits = data.draw(st.integers(0, 2**width - 1))
