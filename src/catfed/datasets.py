@@ -7,14 +7,24 @@ unsigned bytes.  Images stay as those bytes: a loaded split holds read-only,
 C-contiguous uint8 rows of 784 pixels, 8x smaller than float64, and the
 network reads a uint8 row as pixel / 255 (see ``network._Workspace``).
 
-A load holds one copy of the split.  The header's count is checked against
-the file's size before anything is allocated, the payload is read straight
-into one preallocated array, and a transposed dataset is fixed in place,
-block by block.
+A split is a view of a read-only mapping of its file: the header's count is
+checked against the file's size, then the payload is mapped, not copied, so
+loading MNIST, Fashion-MNIST or KMNIST costs no pixel copy and the pages are
+read as the run touches them.  FEMNIST-47 is stored transposed, so it is
+copied out of the mapping transposed, one block of images at a time, each
+copied block's pages released as it is done: its peak is one copy plus one
+block.  Labels are converted to int64 straight from their mapping.
+
+A dataset file must not be modified in place while a run holds it: the
+mapped pages would change under the run, and truncating the file makes
+reading them fail.  ``write_idx_images`` and ``write_idx_labels`` therefore
+write a temporary sibling and rename it into place, which leaves an open
+mapping on the old file's bytes.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -23,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataConsistencyError, DataFormatError
+from .selection import _category_ids
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -41,8 +52,12 @@ DATASET_CLASSES = {
 # EMNIST-derived files store each image transposed relative to MNIST; fix at
 # load time so every dataset shares the same orientation.
 TRANSPOSED_DATASETS = {"femnist47"}
-# Images per block when transposing a loaded split in place.
+# Images per block when copying a transposed split out of its mapping.
 _TRANSPOSE_BLOCK = 1024
+# Bytes before the pixels of an image file: magic, count, rows, cols.
+_IMAGE_HEADER_BYTES = struct.calcsize(">4i")
+# Whether mapped pages can be released early (POSIX platforms with madvise).
+_CAN_RELEASE = hasattr(mmap, "MADV_DONTNEED")
 
 
 @dataclass(frozen=True)
@@ -90,11 +105,10 @@ class LabeledDataset:
                 f"{self.name}: {self.images.shape[0]} images vs "
                 f"{self.labels.shape[0]} labels"
             )
-        if self.labels.size and int(self.labels.max()) >= self.num_categories:
-            raise DataConsistencyError(
-                f"{self.name}: label {int(self.labels.max())} outside "
-                f"[0, {self.num_categories})"
-            )
+        try:
+            _category_ids(self.labels, self.num_categories)
+        except ValueError as exc:
+            raise DataConsistencyError(f"{self.name}: {exc}") from exc
 
     @property
     def num_samples(self) -> int:
@@ -118,29 +132,36 @@ def _read_header(f, path, magic_expected: int, n_dims: int) -> tuple[int, ...]:
 
 
 def _read_payload(f, path, count: int, item_bytes: int, what: str) -> np.ndarray:
-    """The ``count`` items of ``item_bytes`` bytes left in ``f``, read into one array.
+    """The ``count`` items of ``item_bytes`` bytes left in ``f``, as a read-only
+    ``(count, item_bytes)`` uint8 view of a read-only mapping of the file.
 
     The header's count is checked against the file's size before anything
-    is allocated, so a corrupt count is refused rather than allocated.
+    is mapped, so a corrupt count is refused rather than trusted.  The view's
+    ``base`` is the mapping, which stays open while the view is alive.
     """
     if count < 0:
         raise DataFormatError(f"{path}: header promises a negative count of {what}: {count}")
     expected = count * item_bytes
-    available = os.fstat(f.fileno()).st_size - f.tell()
+    offset = f.tell()
+    available = os.fstat(f.fileno()).st_size - offset
     if available != expected:
         raise DataFormatError(
             f"{path}: payload holds {available} bytes, header promises "
             f"{expected} ({count} {what})"
         )
-    out = np.empty((count, item_bytes), dtype=np.uint8)
-    got = f.readinto(out.reshape(-1))
-    if got != expected:
-        raise DataFormatError(f"{path}: read {got} payload bytes, expected {expected}")
-    return out
+    try:
+        mapping = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError) as exc:
+        raise DataFormatError(f"{path}: cannot map the file: {exc}") from exc
+    return np.ndarray((count, item_bytes), dtype=np.uint8, buffer=mapping, offset=offset)
 
 
 def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX image file into the (n, 784) uint8 pixels it holds."""
+    """The (n, 784) uint8 pixels of an IDX image file, as they are stored.
+
+    The result is a read-only view of a read-only mapping of the file (see
+    ``_read_payload``); nothing is copied.
+    """
     path = Path(path)
     with open(path, "rb") as f:
         n, rows, cols = _read_header(f, path, IMAGE_MAGIC, 3)
@@ -152,11 +173,31 @@ def load_idx_images(path) -> np.ndarray:
 
 
 def load_idx_labels(path) -> np.ndarray:
-    """Parse an IDX label file into an int vector."""
+    """Parse an IDX label file into an int64 vector, converted from its mapping."""
     path = Path(path)
     with open(path, "rb") as f:
         (n,) = _read_header(f, path, LABEL_MAGIC, 1)
         return _read_payload(f, path, n, 1, "labels").reshape(n).astype(np.int64)
+
+
+def _write_idx(path, header: bytes, payload: np.ndarray) -> None:
+    """Write ``header`` and ``payload`` to a temporary sibling of ``path``, then
+    rename it over ``path``.
+
+    A loaded split maps its file, so rewriting the file in place would change
+    or truncate the pages under it; a rename leaves the old bytes to whoever
+    maps them.  If the write fails, ``path`` is left as it was.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as f:
+            f.write(header)
+            f.write(payload.tobytes())
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def write_idx_images(path, pixels: np.ndarray) -> None:
@@ -164,37 +205,51 @@ def write_idx_images(path, pixels: np.ndarray) -> None:
     pixels = np.asarray(pixels, dtype=np.uint8)
     if pixels.ndim != 2 or pixels.shape[1] != IMAGE_PIXELS:
         raise ValueError(f"expected (n, {IMAGE_PIXELS}) uint8 pixels, got {pixels.shape}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">4i", IMAGE_MAGIC, pixels.shape[0], IMAGE_SIDE, IMAGE_SIDE))
-        f.write(pixels.tobytes())
+    _write_idx(
+        path, struct.pack(">4i", IMAGE_MAGIC, pixels.shape[0], IMAGE_SIDE, IMAGE_SIDE), pixels
+    )
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if labels.ndim != 1 or (labels.size and (labels.min() < 0 or labels.max() > 255)):
         raise ValueError("labels must be a 1-d vector of bytes")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">2i", LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.astype(np.uint8).tobytes())
+    _write_idx(path, struct.pack(">2i", LABEL_MAGIC, labels.shape[0]), labels.astype(np.uint8))
 
 
-def _transpose_in_place(pixels: np.ndarray) -> None:
-    """Transpose each 28x28 image of ``pixels`` in place, one block of rows at
-    a time, so the only temporary is one block."""
+def _copy_out_transposed(pixels: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``pixels`` (a view from ``load_idx_images``) with
+    each 28x28 image transposed.
+
+    The copy is made one block of images at a time, and the mapped pages of
+    every block copied so far are released, so the mapping does not stay
+    resident next to the copy.  Where the platform has no
+    ``madvise(MADV_DONTNEED)`` (Windows), nothing is released and the load
+    holds the mapping and the copy together until it returns.
+    """
+    mapping = pixels.base
+    out = np.empty(pixels.shape, dtype=np.uint8)
     grids = pixels.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
-    block = np.empty((min(len(grids), _TRANSPOSE_BLOCK), IMAGE_SIDE, IMAGE_SIDE), np.uint8)
+    out_grids = out.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
+    released = 0
     for start in range(0, len(grids), _TRANSPOSE_BLOCK):
-        rows = grids[start : start + _TRANSPOSE_BLOCK]
-        staged = block[: len(rows)]
-        np.copyto(staged, rows.transpose(0, 2, 1))
-        np.copyto(rows, staged)
+        stop = min(start + _TRANSPOSE_BLOCK, len(grids))
+        np.copyto(out_grids[start:stop], grids[start:stop].transpose(0, 2, 1))
+        copied = (_IMAGE_HEADER_BYTES + stop * IMAGE_PIXELS) // mmap.PAGESIZE * mmap.PAGESIZE
+        if _CAN_RELEASE and copied > released:
+            mapping.madvise(mmap.MADV_DONTNEED, released, copied - released)
+            released = copied
+    out.flags.writeable = False
+    return out
 
 
 def load_dataset(spec: DatasetSpec) -> LabeledDataset:
     """Load and validate one split; image/label counts must agree.
 
     ``images`` holds the file's uint8 pixels as read-only, C-contiguous
-    (n, 784) rows, transposed for TRANSPOSED_DATASETS.
+    (n, 784) rows: a view of a read-only mapping of the images file, or for
+    TRANSPOSED_DATASETS a transposed copy made block by block out of that
+    mapping.  The file must not be modified in place while the split is held.
     """
     pixels = load_idx_images(spec.images_path())
     labels = load_idx_labels(spec.labels_path())
@@ -204,8 +259,7 @@ def load_dataset(spec: DatasetSpec) -> LabeledDataset:
             f"{labels.shape[0]} labels"
         )
     if spec.name in TRANSPOSED_DATASETS:
-        _transpose_in_place(pixels)
-    pixels.flags.writeable = False
+        pixels = _copy_out_transposed(pixels)
     return LabeledDataset(
         images=pixels,
         labels=labels,

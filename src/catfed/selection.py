@@ -45,13 +45,17 @@ class CategoryMask:
 
     @classmethod
     def from_categories(cls, categories, num_categories: int) -> "CategoryMask":
-        bits = 0
-        for c in categories:
-            c = int(c)
-            if not 0 <= c < num_categories:
-                raise ValueError(f"category {c} out of range [0, {num_categories})")
-            bits |= 1 << c
-        return cls(bits, num_categories)
+        """Mask with bit c set for every id c in ``categories`` (see ``build_mask``).
+
+        ``categories`` is an array-like or any other iterable of integer ids (a
+        set or a generator is read into a list first); floats and bools are
+        refused rather than truncated.
+        """
+        if not isinstance(categories, (np.ndarray, list, tuple)):
+            categories = list(categories)
+        ids = _category_ids(categories, num_categories)
+        present = np.bincount(ids, minlength=num_categories) > 0
+        return cls(_mask_bits(present), num_categories)
 
     def popcount(self) -> int:
         return self.bits.bit_count()
@@ -102,10 +106,12 @@ def _mask_bits(present: np.ndarray) -> int:
 
 
 def build_mask(labels, num_categories: int) -> CategoryMask:
-    """Mask with bit i set iff label i occurs at least once in ``labels``."""
-    ids = _category_ids(labels, num_categories)
-    present = np.bincount(ids, minlength=num_categories) > 0
-    return CategoryMask(_mask_bits(present), num_categories)
+    """Mask with bit i set iff label i occurs at least once in ``labels``.
+
+    Non-integer labels are refused, and the range error names the first bad
+    label in input order.
+    """
+    return CategoryMask.from_categories(labels, num_categories)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import mmap
 import re
 import struct
 import tracemalloc
@@ -16,6 +17,7 @@ from catfed import (
     write_idx_images,
     write_idx_labels,
 )
+from catfed import datasets
 from catfed.datasets import IMAGE_MAGIC, LABEL_MAGIC
 
 
@@ -164,9 +166,9 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("name", ["mnist", "femnist47"])
     def test_load_holds_one_copy_of_the_split(self, tmp_path, name):
-        # The file's bytes are read straight into the array and femnist47 is
-        # transposed in place, so the peak is the loaded arrays themselves,
-        # not a second copy of the pixels.
+        # mnist's images are a view of the file's mapping and femnist47 is
+        # copied out of it a block at a time, so the peak is at most the
+        # loaded arrays themselves, not a second copy of the pixels.
         rng = np.random.default_rng(7)
         n = 20_000
         spec = write_pair(
@@ -250,6 +252,134 @@ class TestLoadDataset:
         assert spec.labels_path().name == "kmnist49-test-labels.idx"
 
 
+class TestMappedLoad:
+    def test_mnist_images_are_not_copied(self, tmp_path):
+        # The images are a view of the file's mapping: the only allocation
+        # of a load's size is the int64 labels.
+        rng = np.random.default_rng(8)
+        n = 20_000
+        spec = write_pair(
+            tmp_path, "mnist", "train",
+            rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
+            rng.integers(0, 10, size=n).astype(np.uint8),
+        )
+        tracemalloc.start()
+        try:
+            ds = load_dataset(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.labels.nbytes + 64 * 1024
+
+    def test_images_are_a_read_only_view_of_the_file(self, tmp_path):
+        rng = np.random.default_rng(9)
+        raw = rng.integers(0, 256, size=(11, 784), dtype=np.uint8)
+        spec = write_pair(tmp_path, "kmnist49", "test", raw, rng.integers(0, 49, 11))
+        images = load_dataset(spec).images
+        assert isinstance(images.base, mmap.mmap)
+        assert images.dtype == np.uint8 and images.shape == (11, 784)
+        assert images.flags.c_contiguous and not images.flags.writeable
+        assert images.tobytes() == spec.images_path().read_bytes()[16:]
+
+    @pytest.mark.parametrize("name", ["mnist", "femnist47"])
+    def test_zero_image_file_loads_empty(self, tmp_path, name):
+        spec = write_pair(
+            tmp_path, name, "test", np.zeros((0, 784), np.uint8), np.zeros(0, np.uint8)
+        )
+        assert load_idx_images(spec.images_path()).shape == (0, 784)
+        ds = load_dataset(spec)
+        assert ds.images.shape == (0, 784) and ds.labels.shape == (0,)
+
+    def test_femnist_split_holds_no_reference_to_the_mapping(self, tmp_path):
+        rng = np.random.default_rng(10)
+        spec = write_pair(
+            tmp_path, "femnist47", "train",
+            rng.integers(0, 256, size=(5, 784), dtype=np.uint8),
+            rng.integers(0, 47, 5),
+        )
+        ds = load_dataset(spec)
+        # An array with no base owns its memory, so nothing keeps the mapping.
+        assert ds.images.base is None and ds.labels.base is None
+        assert not ds.images.flags.writeable
+
+    @pytest.mark.parametrize("can_release", [True, False], ids=["release", "no-madvise"])
+    def test_femnist_copy_out_across_blocks_and_released_pages(
+        self, tmp_path, monkeypatch, can_release
+    ):
+        # 3-image blocks over 7 images: a partial last block, and a page
+        # released in the middle of the copy; without madvise nothing is
+        # released and the copy is the same.
+        monkeypatch.setattr(datasets, "_TRANSPOSE_BLOCK", 3)
+        monkeypatch.setattr(datasets, "_CAN_RELEASE", can_release and datasets._CAN_RELEASE)
+        rng = np.random.default_rng(11)
+        raw = rng.integers(0, 256, size=(7, 784), dtype=np.uint8)
+        spec = write_pair(tmp_path, "femnist47", "train", raw, rng.integers(0, 47, 7))
+        expected = raw.reshape(-1, 28, 28).transpose(0, 2, 1).reshape(-1, 784)
+        assert load_dataset(spec).images.tobytes() == expected.tobytes()
+
+    def test_unmappable_file_names_the_file(self, tmp_path, monkeypatch):
+        spec = write_pair(
+            tmp_path, "mnist", "train", np.zeros((2, 784), np.uint8), np.zeros(2, np.uint8)
+        )
+
+        def refuse(*args, **kwargs):
+            raise OSError("mapping refused")
+
+        monkeypatch.setattr(datasets.mmap, "mmap", refuse)
+        with pytest.raises(
+            DataFormatError,
+            match=f"{re.escape(str(spec.images_path()))}: cannot map the file: mapping refused",
+        ):
+            load_dataset(spec)
+
+
+class TestAtomicWrites:
+    def test_rewrite_leaves_a_loaded_split_unchanged(self, tmp_path):
+        rng = np.random.default_rng(12)
+        first = rng.integers(0, 256, size=(40, 784), dtype=np.uint8)
+        spec = write_pair(tmp_path, "mnist", "train", first, np.zeros(40, np.uint8))
+        ds = load_dataset(spec)
+        write_idx_images(spec.images_path(), 255 - first)
+        assert ds.images.tobytes() == first.tobytes()
+        assert load_idx_images(spec.images_path()).tobytes() == (255 - first).tobytes()
+
+    @pytest.mark.parametrize("writer, old, new", [
+        (write_idx_images, np.zeros((4, 784), np.uint8), np.ones((9, 784), np.uint8)),
+        (write_idx_labels, np.zeros(4, np.uint8), np.ones(9, np.uint8)),
+    ], ids=["images", "labels"])
+    def test_failed_write_leaves_the_previous_file(
+        self, tmp_path, monkeypatch, writer, old, new
+    ):
+        path = tmp_path / "split.idx"
+        writer(path, old)
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A file whose second write (the payload) fails part-way."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    self.f.write(data[:5])
+                    raise OSError(28, "No space left on device")
+                return self.f.write(data)
+
+        monkeypatch.setattr(datasets, "open", lambda *a: DiskFull(open(*a)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            writer(path, new)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["split.idx"]
+
+
 def test_labeled_dataset_guards():
     with pytest.raises(DataConsistencyError):
         LabeledDataset(
@@ -261,3 +391,12 @@ def test_labeled_dataset_guards():
             images=np.zeros((2, 4)), labels=np.array([0, 5]),
             num_categories=3, name="mnist",
         )
+
+
+@pytest.mark.parametrize("labels, message", [
+    (np.array([-1, 3]), r"mnist: category -1 out of range \[0, 5\)"),
+    (np.array([1.7, 3.2]), "mnist: labels must be integers, got dtype float64"),
+], ids=["negative", "float"])
+def test_labeled_dataset_refuses_bad_labels(labels, message):
+    with pytest.raises(DataConsistencyError, match=message):
+        LabeledDataset(images=np.zeros((2, 4)), labels=labels, num_categories=5, name="mnist")

@@ -456,9 +456,13 @@ def reference_partition(spec, labels, num_categories):
             continue
         if kept is not None:
             assignments = [kept[a] for a in assignments]
-        masks = tuple(
-            CategoryMask.from_categories(labels[a], num_categories) for a in assignments
-        )
+        masks = []
+        for a in assignments:
+            bits = 0
+            for c in labels[a]:
+                bits |= 1 << int(c)
+            masks.append(CategoryMask(bits, num_categories))
+        masks = tuple(masks)
         presence_realized = np.zeros(num_categories, dtype=np.int64)
         for m in masks:
             for c in m.categories():

@@ -46,6 +46,30 @@ class TestCategoryMask:
         with pytest.raises(ValueError):
             CategoryMask(bits=-1, num_categories=4)
 
+    def test_from_categories_refuses_non_integers(self):
+        with pytest.raises(ValueError, match="labels must be integers, got dtype float64"):
+            CategoryMask.from_categories([1.7, 3.2], 10)
+
+    def test_from_categories_names_first_out_of_range_id(self):
+        with pytest.raises(ValueError, match=r"category 12 out of range \[0, 10\)"):
+            CategoryMask.from_categories([3, 12, -1], 10)
+        with pytest.raises(ValueError, match=r"category -1 out of range \[0, 10\)"):
+            CategoryMask.from_categories(np.array([3, -1, 12]), 10)
+
+    def test_from_categories_of_nothing_is_empty(self):
+        assert CategoryMask.from_categories([], 4) == CategoryMask(0, 4)
+
+    def test_from_categories_takes_any_iterable(self):
+        expected = CategoryMask(0b10110, 5)
+        assert CategoryMask.from_categories({4, 1, 2}, 5) == expected
+        assert CategoryMask.from_categories((c for c in [2, 4, 1, 2]), 5) == expected
+        assert CategoryMask.from_categories({1: "a", 2: "b", 4: "c"}.keys(), 5) == expected
+        assert CategoryMask.from_categories(iter([]), 5) == CategoryMask(0, 5)
+
+    def test_from_categories_refuses_bools(self):
+        with pytest.raises(ValueError, match="labels must be integers, got dtype bool"):
+            CategoryMask.from_categories([True, False], 2)
+
     def test_build_mask_from_labels(self):
         labels = np.array([1, 1, 4, 2])
         assert build_mask(labels, 5).categories() == (1, 2, 4)
