@@ -1,24 +1,12 @@
-"""Category-aware client selection for federated averaging, simulated."""
+"""Category-aware client selection for federated averaging, simulated.
 
-from .config import ARCHITECTURES, RunConfig, load_config, parse_config, serialize_config
-from .costs import (
-    CostLedger,
-    CostModel,
-    DecompositionReport,
-    check_loss_decomposition,
-    cumulative_cost,
-    round_cost,
-)
-from .datasets import (
-    DATASET_CLASSES,
-    DatasetSpec,
-    LabeledDataset,
-    load_dataset,
-    load_idx_images,
-    load_idx_labels,
-    write_idx_images,
-    write_idx_labels,
-)
+The package exports what a library user drives a run with; everything else
+is imported from the module that defines it (``catfed.partitions``,
+``catfed.network``, ...).
+"""
+
+from .costs import CostLedger, CostModel, check_loss_decomposition, cumulative_cost
+from .datasets import DatasetSpec, LabeledDataset, load_dataset
 from .errors import (
     ConfigError,
     DataConsistencyError,
@@ -26,120 +14,39 @@ from .errors import (
     GenerationError,
     RoundError,
 )
-from .federation import (
-    STRATEGIES,
-    ClientState,
-    ExperimentConfig,
-    ExperimentResult,
-    RoundRecord,
-    aggregate_weighted,
-    clients_from_partition,
-    metadata_round,
-    run_experiment,
-    run_round,
-)
-from .network import (
-    EvalReport,
-    ModelParams,
-    TrainConfig,
-    client_update,
-    evaluate,
-    forward,
-    init_model,
-    load_model,
-    loss_and_grad,
-    save_model,
-)
-from .partitions import (
-    ClientPartition,
-    DistributionSpec,
-    generate_partition,
-    generate_partition_from_labels,
-    load_partition,
-    partition_stats,
-    save_partition,
-    validate_partition,
-)
-from .selection import (
-    CategoryMask,
-    Mode,
-    SelectionConfig,
-    SelectionResult,
-    build_mask,
-    resolve_limit,
-    select_cost,
-    select_performance,
-    select_random,
-    trace_selection,
-)
-from .synthetic import FIXTURE_COUNTS, generate_split, write_fixture
+from .federation import ExperimentConfig, run_experiment
+from .network import evaluate, init_model, loss_and_grad
+from .partitions import ClientPartition, DistributionSpec, generate_partition
+from .selection import Mode, SelectionConfig, build_mask, select_cost, select_performance
+from .synthetic import write_fixture
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARCHITECTURES",
-    "CategoryMask",
     "ClientPartition",
-    "ClientState",
     "ConfigError",
     "CostLedger",
     "CostModel",
-    "DATASET_CLASSES",
     "DataConsistencyError",
     "DataFormatError",
     "DatasetSpec",
-    "DecompositionReport",
     "DistributionSpec",
-    "EvalReport",
     "ExperimentConfig",
-    "ExperimentResult",
-    "FIXTURE_COUNTS",
     "GenerationError",
     "LabeledDataset",
     "Mode",
-    "ModelParams",
     "RoundError",
-    "RoundRecord",
-    "RunConfig",
-    "STRATEGIES",
     "SelectionConfig",
-    "SelectionResult",
-    "TrainConfig",
-    "aggregate_weighted",
     "build_mask",
     "check_loss_decomposition",
-    "client_update",
-    "clients_from_partition",
     "cumulative_cost",
     "evaluate",
-    "forward",
     "generate_partition",
-    "generate_partition_from_labels",
-    "generate_split",
     "init_model",
-    "load_config",
     "load_dataset",
-    "load_idx_images",
-    "load_idx_labels",
-    "load_model",
-    "load_partition",
     "loss_and_grad",
-    "metadata_round",
-    "parse_config",
-    "partition_stats",
-    "resolve_limit",
-    "round_cost",
     "run_experiment",
-    "run_round",
-    "save_model",
-    "save_partition",
     "select_cost",
     "select_performance",
-    "select_random",
-    "serialize_config",
-    "trace_selection",
-    "validate_partition",
     "write_fixture",
-    "write_idx_images",
-    "write_idx_labels",
 ]

@@ -48,14 +48,12 @@ class CostLedger:
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
-        self.selection_sizes: list[int] = []
         self._cumulative = 0.0
         self._data_seen = 0
 
     def record(self, num_selected: int, samples_seen: int) -> tuple[float, float]:
         """Log one round; returns (round cost, cumulative cost)."""
         cost = round_cost(self.model, num_selected)
-        self.selection_sizes.append(num_selected)
         self._cumulative += cost
         self._data_seen += int(samples_seen)
         return cost, self._cumulative
@@ -67,10 +65,6 @@ class CostLedger:
     @property
     def total_data_seen(self) -> int:
         return self._data_seen
-
-    @property
-    def rounds(self) -> int:
-        return len(self.selection_sizes)
 
 
 @dataclass(frozen=True)

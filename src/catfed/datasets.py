@@ -100,6 +100,17 @@ class LabeledDataset:
     name: str
 
     def __post_init__(self) -> None:
+        for field_name, rank in (("images", 2), ("labels", 1)):
+            value = getattr(self, field_name)
+            if not isinstance(value, np.ndarray):
+                got = type(value).__name__
+            elif value.ndim != rank:
+                got = f"a {value.ndim}-D array"
+            else:
+                continue
+            raise DataConsistencyError(
+                f"{self.name}: {field_name} must be a {rank}-D numpy array, got {got}"
+            )
         if self.images.shape[0] != self.labels.shape[0]:
             raise DataConsistencyError(
                 f"{self.name}: {self.images.shape[0]} images vs "

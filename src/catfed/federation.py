@@ -1,12 +1,12 @@
 """Round-based federated averaging with pluggable client selection.
 
 One experiment runs R rounds against a fixed client partition.  Every round:
-the server gathers (client id, category mask) metadata, the strategy picks a
-subset, each selected client runs local SGD from the current global weights
-on its own samples, and the server replaces the global model with the
-sample-count-weighted average of the returned weights.  The global model is
-then scored on the held-out test set and the round is logged together with
-its communication cost.
+the server reads the partition's category masks (position j is client j),
+the strategy picks a subset of positions, each selected client runs local
+SGD from the current global weights on its own samples, and the server
+replaces the global model with the sample-count-weighted average of the
+returned weights.  The global model is then scored on the held-out test set
+and the round is logged together with its communication cost.
 
 Local training runs in cohorts (``network.train_clients``): up to
 ``network.COHORT`` consecutive selected clients, in ascending id, with the
@@ -65,24 +65,6 @@ STRATEGIES = ("fedavg_random", "cat_performance", "cat_cost")
 
 
 @dataclass(frozen=True)
-class ClientState:
-    client_id: int
-    indices: np.ndarray
-    mask: CategoryMask
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.indices)
-
-
-def clients_from_partition(partition: ClientPartition) -> tuple[ClientState, ...]:
-    return tuple(
-        ClientState(client_id=j, indices=idx, mask=mask)
-        for j, (idx, mask) in enumerate(zip(partition.assignments, partition.masks))
-    )
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     strategy: str
     rounds: int = 50
@@ -137,11 +119,6 @@ class ExperimentResult:
     @property
     def cumulative_cost(self) -> float:
         return self.records[-1].cumulative_cost
-
-
-def metadata_round(clients: tuple[ClientState, ...]) -> list[tuple[int, CategoryMask]]:
-    """Category-mask advertisements, ascending client id (the selection order)."""
-    return sorted(((c.client_id, c.mask) for c in clients), key=lambda item: item[0])
 
 
 class _RunningAverage:
@@ -208,14 +185,14 @@ def _fedavg_k(fraction: float, num_clients: int) -> int:
 
 def _select(
     config: ExperimentConfig,
-    masks: list[CategoryMask],
+    masks: tuple[CategoryMask, ...],
     num_categories: int,
     round_index: int,
 ) -> SelectionResult:
     if config.strategy == "fedavg_random":
         k = min(_fedavg_k(config.client_fraction, len(masks)), len(masks))
         rng = derive_rng(config.seed, STREAM_SELECTION, round_index)
-        return select_random(len(masks), k, rng, masks=masks)
+        return select_random(masks, k, rng)
     sel = SelectionConfig(
         num_categories=num_categories, mode=config.mode, limit=config.limit
     )
@@ -227,55 +204,47 @@ def _select(
 def run_round(
     config: ExperimentConfig,
     model: ModelParams,
-    clients: tuple[ClientState, ...],
-    pool: list[tuple[int, CategoryMask]],
+    partition: ClientPartition,
     train_dataset: LabeledDataset,
     test_dataset: LabeledDataset,
     ledger: CostLedger,
     round_index: int,
 ) -> tuple[ModelParams, RoundRecord]:
-    masks = [mask for _, mask in pool]
-    result = _select(config, masks, train_dataset.num_categories, round_index)
+    result = _select(config, partition.masks, train_dataset.num_categories, round_index)
     if result.count == 0:
         raise RoundError(f"round {round_index}: selection came back empty")
-    selected_ids = tuple(pool[pos][0] for pos in result.selected)
+    selected = tuple(sorted(result.selected))
+    indices = [partition.assignments[j] for j in selected]
+    sizes = [len(idx) for idx in indices]
 
-    by_id = {c.client_id: c for c in clients}
-    participants = [by_id[j] for j in sorted(selected_ids)]
     # Each update is folded in as its client finishes, so a round holds the
     # running average and one cohort's models, not one update per client.
-    coefs = _coefficients([c.num_samples for c in participants])
+    coefs = _coefficients(sizes)
     average = _RunningAverage()
     try:
         train_clients(
             model,
             train_dataset.images,
             train_dataset.labels,
-            [c.indices for c in participants],
+            indices,
             config.train,
-            [
-                derive_rng(config.seed, STREAM_CLIENT_UPDATE, round_index, c.client_id)
-                for c in participants
-            ],
+            [derive_rng(config.seed, STREAM_CLIENT_UPDATE, round_index, j) for j in selected],
             lambda i, weights, biases: average.add(coefs[i], weights, biases),
         )
     except Diverged as exc:
         raise RoundError(
-            f"round {round_index}, client {participants[exc.member].client_id}: "
+            f"round {round_index}, client {selected[exc.member]}: "
             f"training diverged: {exc}"
         ) from exc
     new_model = average.result()
     report = evaluate(new_model, test_dataset.images, test_dataset.labels)
 
-    covered = result.covered_count()
-    round_cost, cumulative = ledger.record(
-        result.count, sum(c.num_samples for c in participants)
-    )
+    round_cost, cumulative = ledger.record(result.count, sum(sizes))
     record = RoundRecord(
         round_index=round_index,
         strategy=config.strategy,
-        selected=tuple(sorted(selected_ids)),
-        categories_covered=covered if covered is not None else 0,
+        selected=selected,
+        categories_covered=result.covered_count(),
         accuracy=report.accuracy,
         test_loss=report.total_loss,
         round_cost=round_cost,
@@ -297,7 +266,6 @@ def run_experiment(
             f"train/test category counts differ: {train_dataset.num_categories} "
             f"!= {test_dataset.num_categories}"
         )
-    clients = clients_from_partition(partition)
     architecture = [
         train_dataset.images.shape[1],
         *config.hidden,
@@ -306,12 +274,10 @@ def run_experiment(
     model = init_model(architecture, derive_rng(config.seed, STREAM_MODEL_INIT))
     ledger = CostLedger(config.cost)
 
-    pool = metadata_round(clients)
     records: list[RoundRecord] = []
     for round_index in range(1, config.rounds + 1):
         model, record = run_round(
-            config, model, clients, pool, train_dataset, test_dataset,
-            ledger, round_index,
+            config, model, partition, train_dataset, test_dataset, ledger, round_index
         )
         records.append(record)
     return ExperimentResult(config=config, records=tuple(records), model=model)

@@ -115,9 +115,6 @@ class ClientPartition:
     def num_clients(self) -> int:
         return len(self.assignments)
 
-    def client_sample_counts(self) -> np.ndarray:
-        return np.array([len(a) for a in self.assignments])
-
 
 def kind_bounds(kind: str, num_categories: int, num_clients: int,
                 samples_per_client: int) -> tuple[tuple[int, int], tuple[int, int]]:

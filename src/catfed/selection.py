@@ -119,7 +119,7 @@ class SelectionConfig:
     """Resolves the client cap N from a mode (A=10, B=C) or an explicit value."""
 
     num_categories: int
-    mode: Mode | None = Mode.B
+    mode: Mode = Mode.B
     limit: int | None = None
 
     def __post_init__(self) -> None:
@@ -127,8 +127,6 @@ class SelectionConfig:
             raise ValueError(f"num_categories must be >= 1, got {self.num_categories}")
         if self.limit is not None and self.limit < 1:
             raise ValueError(f"limit must be positive, got {self.limit}")
-        if self.limit is None and self.mode is None:
-            raise ValueError("either mode or an explicit limit is required")
 
 
 def resolve_limit(config: SelectionConfig) -> int:
@@ -145,7 +143,7 @@ class SelectionResult:
     """Ordered selected client indices, their count, and the covered-category union."""
 
     selected: tuple[int, ...]
-    coverage: CategoryMask | None
+    coverage: CategoryMask
     skipped_categories: tuple[int, ...] = field(default=())
 
     @property
@@ -153,7 +151,7 @@ class SelectionResult:
         return len(self.selected)
 
     def covered_count(self) -> int:
-        return 0 if self.coverage is None else self.coverage.popcount()
+        return self.coverage.popcount()
 
 
 def _sorted_client_order(masks: list[CategoryMask]) -> list[int]:
@@ -179,28 +177,20 @@ def _union_coverage(masks: list[CategoryMask], selected, num_categories: int) ->
 
 
 def select_random(
-    num_clients: int,
-    k: int,
-    rng: np.random.Generator,
-    masks: list[CategoryMask] | None = None,
+    masks: list[CategoryMask], k: int, rng: np.random.Generator
 ) -> SelectionResult:
     """Draw k distinct client indices uniformly without replacement.
 
-    The averaging baseline does not look at masks; pass them anyway when known
-    so the result reports the coverage the random pick happened to achieve.
+    The averaging baseline does not look at the masks when it draws; it
+    reads them only to report the coverage the random pick happened to get.
     """
-    if num_clients < 1:
-        raise ValueError(f"num_clients must be positive, got {num_clients}")
-    if not 1 <= k <= num_clients:
-        raise ValueError(f"k={k} must be in [1, {num_clients}]")
-    selected = tuple(int(j) for j in rng.choice(num_clients, size=k, replace=False))
-    coverage = None
-    if masks is not None:
-        width = _check_masks(masks)
-        if len(masks) != num_clients:
-            raise ValueError(f"expected {num_clients} masks, got {len(masks)}")
-        coverage = _union_coverage(masks, selected, width)
-    return SelectionResult(selected=selected, coverage=coverage)
+    width = _check_masks(masks)
+    if not 1 <= k <= len(masks):
+        raise ValueError(f"k={k} must be in [1, {len(masks)}]")
+    selected = tuple(int(j) for j in rng.choice(len(masks), size=k, replace=False))
+    return SelectionResult(
+        selected=selected, coverage=_union_coverage(masks, selected, width)
+    )
 
 
 def select_performance(

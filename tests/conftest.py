@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from catfed import CategoryMask, LabeledDataset
+from catfed import ClientPartition, DistributionSpec, LabeledDataset
+from catfed.selection import CategoryMask
 
 
 def make_dataset(
@@ -47,6 +48,20 @@ def make_pair(
         num_classes, test_samples, num_pixels, seed + 10_000, name, proto_seed=seed
     )
     return train, test
+
+
+def make_partition(assignments, masks) -> ClientPartition:
+    """Hand-built partition: client j holds rows ``assignments[j]`` and
+    advertises ``masks[j]``."""
+    masks = tuple(masks)
+    width = masks[0].num_categories
+    return ClientPartition(
+        spec=DistributionSpec(kind="D1", num_clients=len(masks)),
+        num_categories=width,
+        assignments=tuple(assignments),
+        masks=masks,
+        category_presence=np.array([sum(m.has(c) for m in masks) for c in range(width)]),
+    )
 
 
 def random_masks(

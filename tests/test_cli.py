@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 import catfed
-from catfed import (
-    DatasetSpec,
-    DistributionSpec,
-    generate_partition,
-    load_dataset,
-    load_partition,
-)
+from catfed import DatasetSpec, DistributionSpec, generate_partition, load_dataset
 from catfed.cli import (
     CSV_HEADER,
     SWEEP_HEADER,
@@ -27,6 +21,7 @@ from catfed.cli import (
 )
 from catfed.datasets import write_idx_images, write_idx_labels
 from catfed.federation import RoundRecord
+from catfed.partitions import load_partition
 from conftest import make_pair
 
 

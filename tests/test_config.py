@@ -5,15 +5,14 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from catfed import (
-    ConfigError,
-    Mode,
+from catfed import ConfigError, Mode
+from catfed.config import (
+    ARCHITECTURES,
     RunConfig,
     load_config,
     parse_config,
     serialize_config,
 )
-from catfed.config import ARCHITECTURES
 
 
 class TestParsing:

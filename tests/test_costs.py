@@ -8,8 +8,8 @@ from catfed import (
     cumulative_cost,
     evaluate,
     init_model,
-    round_cost,
 )
+from catfed.costs import round_cost
 
 
 class TestCostModel:
@@ -49,9 +49,7 @@ class TestLedger:
         ledger = CostLedger(CostModel(client_cost=1.0, server_cost=0.5))
         assert ledger.record(10, 6000) == (10.5, 10.5)
         assert ledger.record(3, 1800) == (3.5, 14.0)
-        assert ledger.rounds == 2
         assert ledger.total_data_seen == 7800
-        assert ledger.selection_sizes == [10, 3]
 
 
 def _client_reports(num_clients, num_categories, seed):

@@ -12,13 +12,16 @@ from catfed import (
     DatasetSpec,
     LabeledDataset,
     load_dataset,
+)
+from catfed import datasets
+from catfed.datasets import (
+    IMAGE_MAGIC,
+    LABEL_MAGIC,
     load_idx_images,
     load_idx_labels,
     write_idx_images,
     write_idx_labels,
 )
-from catfed import datasets
-from catfed.datasets import IMAGE_MAGIC, LABEL_MAGIC
 
 
 def write_pair(root, name, split, images, labels):
@@ -393,10 +396,20 @@ def test_labeled_dataset_guards():
         )
 
 
-@pytest.mark.parametrize("labels, message", [
-    (np.array([-1, 3]), r"mnist: category -1 out of range \[0, 5\)"),
-    (np.array([1.7, 3.2]), "mnist: labels must be integers, got dtype float64"),
-], ids=["negative", "float"])
-def test_labeled_dataset_refuses_bad_labels(labels, message):
+@pytest.mark.parametrize("images, labels, message", [
+    (np.zeros((2, 4)), np.array([-1, 3]), r"mnist: category -1 out of range \[0, 5\)"),
+    (np.zeros((2, 4)), np.array([1.7, 3.2]),
+     r"mnist: labels must be integers, got dtype float64"),
+    (np.zeros((2, 4)), [0, 1], r"mnist: labels must be a 1-D numpy array, got list$"),
+    (np.zeros((2, 4)), np.array([[0], [1]]),
+     r"mnist: labels must be a 1-D numpy array, got a 2-D array$"),
+    ([[0.0] * 4] * 2, np.array([0, 1]), r"mnist: images must be a 2-D numpy array, got list$"),
+    (np.zeros(4), np.array([0, 1]),
+     r"mnist: images must be a 2-D numpy array, got a 1-D array$"),
+    (np.zeros((2, 2, 2)), np.array([0, 1]),
+     r"mnist: images must be a 2-D numpy array, got a 3-D array$"),
+], ids=["negative", "float", "labels-list", "labels-2d", "images-list", "images-1d",
+        "images-3d"])
+def test_labeled_dataset_refuses_bad_labels(images, labels, message):
     with pytest.raises(DataConsistencyError, match=message):
-        LabeledDataset(images=np.zeros((2, 4)), labels=labels, num_categories=5, name="mnist")
+        LabeledDataset(images=images, labels=labels, num_categories=5, name="mnist")

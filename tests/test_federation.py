@@ -4,29 +4,22 @@ import numpy as np
 import pytest
 
 from catfed import (
-    CategoryMask,
-    ClientState,
     CostLedger,
     DistributionSpec,
     ExperimentConfig,
     LabeledDataset,
-    ModelParams,
     RoundError,
-    TrainConfig,
-    aggregate_weighted,
     check_loss_decomposition,
-    client_update,
-    clients_from_partition,
     evaluate,
     generate_partition,
     init_model,
-    metadata_round,
     run_experiment,
 )
-from catfed.federation import _fedavg_k, run_round
-from catfed.network import COHORT
+from catfed.federation import _fedavg_k, aggregate_weighted, run_round
+from catfed.network import COHORT, ModelParams, TrainConfig, client_update
 from catfed.seeding import STREAM_CLIENT_UPDATE, derive_rng
-from conftest import make_dataset, make_pair
+from catfed.selection import CategoryMask
+from conftest import make_dataset, make_pair, make_partition
 
 
 def small_setup(strategy="cat_performance", kind="D1", **overrides):
@@ -90,8 +83,9 @@ class TestAggregation:
         assert merged.biases[0].tobytes() == want_b.tobytes()
 
 
-def round_inputs(num_clients, sizes, seed=0):
-    """Clients of the given sample counts over one uint8 train split."""
+def round_inputs(sizes, seed=0):
+    """A partition of clients of the given sample counts over one uint8
+    train split."""
     rng = np.random.default_rng(seed)
     total = sum(sizes)
     train = LabeledDataset(
@@ -103,30 +97,29 @@ def round_inputs(num_clients, sizes, seed=0):
         labels=rng.integers(0, 10, 200), num_categories=10, name="mnist",
     )
     bounds = np.cumsum([0, *sizes])
-    clients = tuple(
-        ClientState(j, np.arange(bounds[j], bounds[j + 1]), CategoryMask(0b1, 10))
-        for j in range(num_clients)
+    partition = make_partition(
+        [np.arange(bounds[j], bounds[j + 1]) for j in range(len(sizes))],
+        [CategoryMask(0b1, 10)] * len(sizes),
     )
-    return train, test, clients
+    return train, test, partition
 
 
 class TestStreamedRound:
     def test_round_equals_aggregate_weighted_of_the_updates_bitwise(self):
         sizes = [37, 5, 64, 20, 11, 50]
-        train, test, clients = round_inputs(len(sizes), sizes)
+        train, test, part = round_inputs(sizes)
         config = ExperimentConfig(strategy="fedavg_random", client_fraction=1.0, seed=4)
         model = init_model([784, 16, 10], np.random.default_rng(1))
         new_model, record = run_round(
-            config, model, clients, metadata_round(clients), train, test,
-            CostLedger(config.cost), round_index=2,
+            config, model, part, train, test, CostLedger(config.cost), round_index=2,
         )
         assert record.selected == tuple(range(len(sizes)))
         updates = [
             client_update(
-                model, train.images[c.indices], train.labels[c.indices], config.train,
-                derive_rng(config.seed, STREAM_CLIENT_UPDATE, 2, c.client_id),
+                model, train.images[idx], train.labels[idx], config.train,
+                derive_rng(config.seed, STREAM_CLIENT_UPDATE, 2, j),
             )
-            for c in clients
+            for j, idx in enumerate(part.assignments)
         ]
         want = aggregate_weighted(updates, [float(n) for n in sizes])
         for got, expected in zip(
@@ -138,20 +131,19 @@ class TestStreamedRound:
         # Full cohorts, a cohort cut by COHORT, a size change and a last
         # cohort of one: every update is the one client_update gives alone.
         sizes = [20] * (COHORT + 1) + [7, 7, 20]
-        train, test, clients = round_inputs(len(sizes), sizes, seed=3)
+        train, test, part = round_inputs(sizes, seed=3)
         config = ExperimentConfig(strategy="fedavg_random", client_fraction=1.0, seed=9)
         model = init_model([784, 16, 10], np.random.default_rng(2))
         new_model, record = run_round(
-            config, model, clients, metadata_round(clients), train, test,
-            CostLedger(config.cost), round_index=3,
+            config, model, part, train, test, CostLedger(config.cost), round_index=3,
         )
         assert record.selected == tuple(range(len(sizes)))
         updates = [
             client_update(
-                model, train.images[c.indices], train.labels[c.indices], config.train,
-                derive_rng(config.seed, STREAM_CLIENT_UPDATE, 3, c.client_id),
+                model, train.images[idx], train.labels[idx], config.train,
+                derive_rng(config.seed, STREAM_CLIENT_UPDATE, 3, j),
             )
-            for c in clients
+            for j, idx in enumerate(part.assignments)
         ]
         want = aggregate_weighted(updates, [float(n) for n in sizes])
         for got, expected in zip(
@@ -163,14 +155,13 @@ class TestStreamedRound:
         # Each update is folded in as its client returns: a round that
         # trains 40 clients peaks within three model sizes of one that
         # trains 4 (holding every update would add 36).
-        train, test, clients = round_inputs(40, [20] * 40)
+        train, test, part = round_inputs([20] * 40)
         model = init_model([784, 100, 10], np.random.default_rng(1))
         model_bytes = sum(a.nbytes for a in model.weights + model.biases)
 
         def round_peak(fraction):
             config = ExperimentConfig(strategy="fedavg_random", client_fraction=fraction)
-            pool = metadata_round(clients)
-            args = (config, model, clients, pool, train, test)
+            args = (config, model, part, train, test)
             run_round(*args, CostLedger(config.cost), 1)  # warm up
             tracemalloc.start()
             try:
@@ -184,17 +175,6 @@ class TestStreamedRound:
         many, many_peak = round_peak(1.0)
         assert (few, many) == (4, 40)
         assert many_peak - few_peak <= 3 * model_bytes
-
-
-class TestMetadata:
-    def test_sorted_by_client_id(self):
-        clients = (
-            ClientState(2, np.array([0]), CategoryMask(0b1, 3)),
-            ClientState(0, np.array([1]), CategoryMask(0b10, 3)),
-            ClientState(1, np.array([2]), CategoryMask(0b100, 3)),
-        )
-        pool = metadata_round(clients)
-        assert [cid for cid, _ in pool] == [0, 1, 2]
 
 
 class TestFedavgK:
@@ -261,8 +241,6 @@ class TestRunExperiment:
         assert all(r.categories_covered == bin(union).count("1") for r in result.records)
 
     def test_training_actually_improves_on_coverage(self):
-        from catfed import TrainConfig
-
         cfg, train, part, test = small_setup(
             strategy="cat_performance", rounds=25,
             train=TrainConfig(learning_rate=0.5, batch_size=15),
@@ -307,10 +285,7 @@ def test_divergence_names_the_client_a_one_at_a_time_run_names():
                            num_categories=3, name="toy")
     test = LabeledDataset(images=rng.standard_normal((6, 5)),
                           labels=rng.integers(0, 3, 6), num_categories=3, name="toy")
-    clients = (
-        ClientState(0, np.arange(12), CategoryMask(0b111, 3)),
-        ClientState(1, np.arange(12, 24), CategoryMask(0b111, 3)),
-    )
+    part = make_partition([np.arange(12), np.arange(12, 24)], [CategoryMask(0b111, 3)] * 2)
     config = ExperimentConfig(
         strategy="fedavg_random", client_fraction=1.0, hidden=(4,),
         train=TrainConfig(learning_rate=1e300, batch_size=4),
@@ -318,27 +293,46 @@ def test_divergence_names_the_client_a_one_at_a_time_run_names():
     model = init_model([5, 4, 3], rng)
     alone = []
     with np.errstate(all="ignore"):
-        for c in clients:
+        for j, idx in enumerate(part.assignments):
             with pytest.raises(FloatingPointError) as info:
-                client_update(model, images[c.indices], train.labels[c.indices],
-                              config.train, derive_rng(config.seed, STREAM_CLIENT_UPDATE,
-                                                       1, c.client_id))
+                client_update(model, images[idx], train.labels[idx], config.train,
+                              derive_rng(config.seed, STREAM_CLIENT_UPDATE, 1, j))
             alone.append(str(info.value))
         assert "batch start 0 " in alone[1] and "batch start 0 " not in alone[0]
         with pytest.raises(RoundError) as info:
-            run_round(config, model, clients, metadata_round(clients), train, test,
-                      CostLedger(config.cost), round_index=1)
+            run_round(config, model, part, train, test, CostLedger(config.cost),
+                      round_index=1)
     assert str(info.value) == f"round 1, client 0: training diverged: {alone[0]}"
+
+
+def test_round_error_names_the_partition_position():
+    # cat_cost picks only client 2, the one full mask; its rows are infinite.
+    rng = np.random.default_rng(0)
+    images = rng.standard_normal((18, 5))
+    images[12:] = np.inf
+    train = LabeledDataset(images=images, labels=np.tile(np.arange(3), 6),
+                           num_categories=3, name="toy")
+    test = LabeledDataset(images=rng.standard_normal((6, 5)),
+                          labels=rng.integers(0, 3, 6), num_categories=3, name="toy")
+    part = make_partition(
+        [np.arange(0, 6), np.arange(6, 12), np.arange(12, 18)],
+        [CategoryMask(0b1, 3), CategoryMask(0b10, 3), CategoryMask(0b111, 3)],
+    )
+    config = ExperimentConfig(strategy="cat_cost", hidden=(4,))
+    with np.errstate(all="ignore"), pytest.raises(
+        RoundError, match=r"^round 1, client 2: training diverged"
+    ):
+        run_round(config, init_model([5, 4, 3], rng), part, train, test,
+                  CostLedger(config.cost), round_index=1)
 
 
 class TestDecompositionDuringRuns:
     def test_client_major_equals_category_major_each_round(self):
         cfg, train, part, test = small_setup(rounds=2)
         result = run_experiment(cfg, train, part, test)
-        clients = clients_from_partition(part)
         reports = [
-            evaluate(result.model, train.images[c.indices], train.labels[c.indices])
-            for c in clients
+            evaluate(result.model, train.images[idx], train.labels[idx])
+            for idx in part.assignments
         ]
         out = check_loss_decomposition(reports)
         assert out.relative_gap <= 1e-9

@@ -7,27 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catfed import (
-    EvalReport,
-    ModelParams,
-    TrainConfig,
-    client_update,
-    evaluate,
-    forward,
-    init_model,
-    load_model,
-    loss_and_grad,
-    save_model,
-)
+from catfed import evaluate, init_model, loss_and_grad
 from catfed.network import (
     COHORT,
     EVAL_CHUNK_ROWS,
     PROB_FLOOR,
     Diverged,
+    EvalReport,
+    ModelParams,
+    TrainConfig,
     _cohorts,
     _relu_gate,
     _Workspace,
+    client_update,
+    forward,
+    load_model,
     per_sample_losses,
+    save_model,
     sgd_step,
     train_clients,
 )

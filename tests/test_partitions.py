@@ -9,28 +9,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catfed import (
-    STRATEGIES,
-    CategoryMask,
     DistributionSpec,
     ExperimentConfig,
     GenerationError,
     LabeledDataset,
-    TrainConfig,
     generate_partition,
-    load_partition,
-    partition_stats,
     run_experiment,
-    save_partition,
-    validate_partition,
 )
 from catfed.cli import records_to_csv
 from catfed import partitions
+from catfed.federation import STRATEGIES
+from catfed.network import TrainConfig
 from catfed.partitions import (
     KINDS,
     _kept_rows,
     generate_partition_from_labels,
     kind_bounds,
+    load_partition,
+    partition_stats,
+    save_partition,
+    validate_partition,
 )
+from catfed.selection import CategoryMask
 from catfed.seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
 from conftest import make_dataset, make_pair
 

@@ -3,17 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catfed import (
-    CategoryMask,
-    Mode,
-    SelectionConfig,
-    build_mask,
-    resolve_limit,
-    select_cost,
-    select_performance,
-    select_random,
-    trace_selection,
-)
+from catfed import Mode, SelectionConfig, build_mask, select_cost, select_performance
+from catfed.selection import CategoryMask, resolve_limit, select_random, trace_selection
 from conftest import random_masks
 
 
@@ -111,10 +102,6 @@ class TestLimitResolution:
         cfg = SelectionConfig(num_categories=47, mode=Mode.A, limit=19)
         assert resolve_limit(cfg) == 19
 
-    def test_config_requires_mode_or_limit(self):
-        with pytest.raises(ValueError):
-            SelectionConfig(num_categories=5, mode=None, limit=None)
-
     def test_nonpositive_limit_rejected(self):
         with pytest.raises(ValueError):
             SelectionConfig(num_categories=5, limit=0)
@@ -175,27 +162,33 @@ class TestCostStrategy:
 
 class TestRandomStrategy:
     def test_draws_k_distinct(self):
-        rng = np.random.default_rng(0)
-        res = select_random(20, 5, rng)
+        masks = [mask([i % 4], 4) for i in range(20)]
+        res = select_random(masks, 5, np.random.default_rng(0))
         assert len(set(res.selected)) == 5
         assert all(0 <= j < 20 for j in res.selected)
-        assert res.coverage is None
+        assert res.coverage.categories() == tuple(sorted({j % 4 for j in res.selected}))
 
     def test_same_stream_same_draw(self):
-        a = select_random(30, 7, np.random.default_rng(42))
-        b = select_random(30, 7, np.random.default_rng(42))
+        masks = [mask([0], 2)] * 30
+        a = select_random(masks, 7, np.random.default_rng(42))
+        b = select_random(masks, 7, np.random.default_rng(42))
         assert a.selected == b.selected
 
-    def test_coverage_reported_when_masks_given(self):
+    def test_coverage_reported(self):
         masks = [mask([i % 3], 3) for i in range(9)]
-        res = select_random(9, 9, np.random.default_rng(1), masks=masks)
+        res = select_random(masks, 9, np.random.default_rng(1))
         assert res.coverage.is_full()
 
     def test_bad_k_rejected(self):
+        masks = [mask([0], 2)] * 5
         with pytest.raises(ValueError):
-            select_random(5, 6, np.random.default_rng(0))
+            select_random(masks, 6, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            select_random(5, 0, np.random.default_rng(0))
+            select_random(masks, 0, np.random.default_rng(0))
+
+    def test_no_masks_rejected(self):
+        with pytest.raises(ValueError, match="at least one client mask"):
+            select_random([], 1, np.random.default_rng(0))
 
 
 @st.composite

@@ -7,7 +7,8 @@ keep day-to-day iteration quick while exercising the same agreement logic.
 import numpy as np
 import pytest
 
-from catfed import Mode, SelectionConfig, resolve_limit, select_cost, select_performance
+from catfed import Mode, SelectionConfig, select_cost, select_performance
+from catfed.selection import resolve_limit
 from conftest import random_masks
 from oracles import cost_pseudocode, minimal_cover_size, performance_pseudocode
 
