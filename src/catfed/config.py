@@ -11,11 +11,10 @@ value the format cannot carry is refused by ``serialize_config``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .costs import CostModel
 from .datasets import DATASET_CLASSES
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 from .federation import STRATEGIES, ExperimentConfig
 from .network import TrainConfig
 from .partitions import KINDS, DistributionSpec
@@ -100,30 +99,6 @@ def _parse_optional_str(raw: str) -> str | None:
     return None if raw.lower() == "none" else raw
 
 
-_PARSERS = {
-    "dataset": str,
-    "data_root": _parse_optional_str,
-    "distribution": str,
-    "strategy": str,
-    "mode": str.upper,
-    "limit": _parse_optional_int,
-    "client_fraction": float,
-    "rounds": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "local_epochs": int,
-    "num_clients": int,
-    "samples_per_client": int,
-    "seed": int,
-    "client_cost": float,
-    "server_cost": float,
-    "minority_categories": int,
-    "minority_ratio": float,
-    "seeds": int,
-    "output": str,
-}
-
-
 def _positive(value) -> bool:
     return value >= 1
 
@@ -133,37 +108,39 @@ def _nonnegative(value) -> bool:
     return value >= 0
 
 
-# Each key's domain, as a check and the phrase an error shows.  These are the
-# domains ExperimentConfig, TrainConfig, CostModel, SelectionConfig,
-# DistributionSpec and derive_rng enforce, applied when a value is read.
-_DOMAINS = {
-    "dataset": (lambda v: v in DATASET_CLASSES, f"one of {sorted(DATASET_CLASSES)}"),
-    "data_root": (lambda v: v is None or v != "", "a non-empty path or none"),
-    "distribution": (lambda v: v in KINDS, f"one of {KINDS}"),
-    "strategy": (lambda v: v in STRATEGIES, f"one of {STRATEGIES}"),
-    "mode": (lambda v: v in ("A", "B"), "A or B"),
-    "limit": (lambda v: v is None or v >= 1, ">= 1 or none"),
-    "client_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "rounds": (_positive, ">= 1"),
-    "learning_rate": (_nonnegative, ">= 0"),
-    "batch_size": (_positive, ">= 1"),
-    "local_epochs": (_positive, ">= 1"),
-    "num_clients": (_positive, ">= 1"),
-    "samples_per_client": (_positive, ">= 1"),
-    "seed": (_nonnegative, ">= 0"),
-    "client_cost": (_nonnegative, ">= 0"),
-    "server_cost": (_nonnegative, ">= 0"),
-    "minority_categories": (_nonnegative, ">= 0"),
-    "minority_ratio": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "seeds": (_positive, ">= 1"),
-    "output": (lambda v: v != "", "a non-empty path"),
+# Each key's parser, its domain as a check, and the phrase an error shows for
+# the domain.  These are the domains ExperimentConfig, TrainConfig, CostModel,
+# SelectionConfig, DistributionSpec and derive_rng enforce, applied when a
+# value is read.
+_KEYS = {
+    "dataset": (str, lambda v: v in DATASET_CLASSES, f"one of {sorted(DATASET_CLASSES)}"),
+    "data_root": (_parse_optional_str, lambda v: v is None or v != "",
+                  "a non-empty path or none"),
+    "distribution": (str, lambda v: v in KINDS, f"one of {KINDS}"),
+    "strategy": (str, lambda v: v in STRATEGIES, f"one of {STRATEGIES}"),
+    "mode": (str.upper, lambda v: v in ("A", "B"), "A or B"),
+    "limit": (_parse_optional_int, lambda v: v is None or v >= 1, ">= 1 or none"),
+    "client_fraction": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "rounds": (int, _positive, ">= 1"),
+    "learning_rate": (float, _nonnegative, ">= 0"),
+    "batch_size": (int, _positive, ">= 1"),
+    "local_epochs": (int, _positive, ">= 1"),
+    "num_clients": (int, _positive, ">= 1"),
+    "samples_per_client": (int, _positive, ">= 1"),
+    "seed": (int, _nonnegative, ">= 0"),
+    "client_cost": (float, _nonnegative, ">= 0"),
+    "server_cost": (float, _nonnegative, ">= 0"),
+    "minority_categories": (int, _nonnegative, ">= 0"),
+    "minority_ratio": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "seeds": (int, _positive, ">= 1"),
+    "output": (str, lambda v: v != "", "a non-empty path"),
 }
 
-assert set(_PARSERS) == set(_DOMAINS) == {f.name for f in fields(RunConfig)}
+assert set(_KEYS) == {f.name for f in fields(RunConfig)}
 
 
 def _check_domain(key: str, value, where: str = "") -> None:
-    check, domain = _DOMAINS[key]
+    _, check, domain = _KEYS[key]
     if not check(value):
         raise ConfigError(f"{where}{key} must be {domain}, got {value!r}")
 
@@ -179,12 +156,12 @@ def parse_config(text: str) -> RunConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _PARSERS[key](raw_value)
+            values[key] = _KEYS[key][0](raw_value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         _check_domain(key, values[key], f"line {lineno}: ")
@@ -197,7 +174,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return parse_config(read_utf8(path, ConfigError))
 
 
 def _unwritable(key: str, value: str) -> str | None:
@@ -208,7 +185,7 @@ def _unwritable(key: str, value: str) -> str | None:
         return "a line break ends the line"
     if value != value.strip():
         return "outer whitespace is stripped"
-    parsed = _PARSERS[key](value)
+    parsed = _KEYS[key][0](value)
     if parsed != value:
         return f"it reads back as {parsed!r}"
     return None

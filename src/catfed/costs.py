@@ -59,10 +59,6 @@ class CostLedger:
         return cost, self._cumulative
 
     @property
-    def cumulative(self) -> float:
-        return self._cumulative
-
-    @property
     def total_data_seen(self) -> int:
         return self._data_seen
 

@@ -20,7 +20,6 @@ input model is never written.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -536,59 +535,3 @@ def evaluate(model: ModelParams, images: np.ndarray, labels: np.ndarray) -> Eval
         num_samples=n,
         num_categories=model.num_classes,
     )
-
-
-def save_model(model: ModelParams, path) -> None:
-    """Checkpoint: count-prefixed <i32 widths, then per layer row-major <f8 W, then b."""
-    arch = model.architecture
-    with open(path, "wb") as f:
-        f.write(struct.pack("<i", len(arch)))
-        f.write(struct.pack(f"<{len(arch)}i", *arch))
-        for w, b in zip(model.weights, model.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-
-
-def load_model(path) -> ModelParams:
-    """Read a save_model checkpoint; a malformed one raises ValueError naming ``path``."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 4:
-        raise ValueError(f"{path}: truncated header")
-    (n_widths,) = struct.unpack_from("<i", data)
-    if n_widths < 2:
-        raise ValueError(f"{path}: invalid width count {n_widths}")
-    offset = 4 + 4 * n_widths
-    if len(data) < offset:
-        raise ValueError(
-            f"{path}: truncated header: {n_widths} widths need {offset} bytes, "
-            f"file has {len(data)}"
-        )
-    arch = list(struct.unpack_from(f"<{n_widths}i", data, 4))
-    if min(arch) < 1:
-        raise ValueError(f"{path}: layer widths must be positive, got {arch}")
-    layers = list(zip(arch[:-1], arch[1:]))
-    expected = offset + 8 * sum(fan_out * (fan_in + 1) for fan_in, fan_out in layers)
-    if len(data) < expected:
-        raise ValueError(
-            f"{path}: truncated layer payload: architecture {arch} needs "
-            f"{expected} bytes, file has {len(data)}"
-        )
-    if len(data) > expected:
-        raise ValueError(
-            f"{path}: {len(data) - expected} trailing bytes after the last layer "
-            f"of architecture {arch}"
-        )
-    weights = []
-    biases = []
-    for fan_in, fan_out in layers:
-        w = np.frombuffer(data, dtype="<f8", count=fan_out * fan_in, offset=offset)
-        offset += w.nbytes
-        b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
-        offset += b.nbytes
-        weights.append(w.reshape(fan_out, fan_in).astype(np.float64))
-        biases.append(b.astype(np.float64))
-    try:
-        return ModelParams(weights=tuple(weights), biases=tuple(biases))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

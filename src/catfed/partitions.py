@@ -26,9 +26,10 @@ Both steps after that are array code.  The draw computes every (client,
 category) pair's quota and pool slice at once and fills a (clients, samples)
 index array with one gather; only the exhausted-pool pairs loop, in (client,
 category) order, so the random stream and the replacement events are those of
-a draw made pair by pair.  The masks and ``category_presence`` are read off a
-(clients x categories) bincount table.  Both work in blocks of ``_BLOCK_ROWS``
-sampled rows, so no index temporary grows with the partition.
+a draw made pair by pair.  The masks are read off a (clients x categories)
+bincount table.  Both work in blocks of ``_BLOCK_ROWS`` sampled rows, so no
+index temporary grows with the partition.  A category's presence, the number
+of clients holding it, is the column sum of the masks.
 
 A spec's ``imbalance = (k, r)`` is the global class imbalance: before any of
 that, the k lowest category ids are shrunk to a fraction r of their rows,
@@ -46,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import GenerationError
+from .errors import GenerationError, read_utf8
 from .seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
 from .selection import CategoryMask, _category_ids, _mask_bits
 
@@ -102,18 +103,29 @@ class DistributionSpec:
 
 @dataclass(frozen=True)
 class ClientPartition:
-    """Per-client sample assignments plus the masks they imply."""
+    """Per-client sample assignments plus the masks they imply.
+
+    ``category_presence`` is not stored: it is the column sum of the masks.
+    """
 
     spec: DistributionSpec
     num_categories: int
     assignments: tuple[np.ndarray, ...]
     masks: tuple[CategoryMask, ...]
-    category_presence: np.ndarray
     replacement_events: tuple[tuple[int, int, int], ...] = field(default=())
 
     @property
     def num_clients(self) -> int:
         return len(self.assignments)
+
+    @property
+    def category_presence(self) -> np.ndarray:
+        """Number of clients holding each category, as int64."""
+        width = (self.num_categories + 7) // 8
+        packed = b"".join(m.bits.to_bytes(width, "little") for m in self.masks)
+        held = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(-1, width),
+                             axis=1, count=self.num_categories, bitorder="little")
+        return held.sum(axis=0, dtype=np.int64)
 
 
 def kind_bounds(kind: str, num_categories: int, num_clients: int,
@@ -381,10 +393,10 @@ def _draw_samples(
     return drawn.reshape(len(client_categories), samples_per_client), events
 
 
-def _masks_and_presence(
+def _masks(
     assignments, labels: np.ndarray, num_categories: int
-) -> tuple[tuple[CategoryMask, ...], np.ndarray]:
-    """Every client's mask and the category presence of ``assignments``.
+) -> tuple[CategoryMask, ...]:
+    """Every client's mask under ``assignments``.
 
     Each block of clients is one bincount of ``client * C + label`` read as a
     (clients x C) table.  A label outside [0, C) raises build_mask's
@@ -400,8 +412,7 @@ def _masks_and_presence(
         keys = ids + np.repeat(np.arange(count) * num_categories, sizes[lo : lo + count])
         table = np.bincount(keys, minlength=count * num_categories)
         held[lo : lo + count] = table.reshape(count, num_categories) > 0
-    masks = tuple(CategoryMask(_mask_bits(row), num_categories) for row in held)
-    return masks, held.sum(axis=0, dtype=np.int64)
+    return tuple(CategoryMask(_mask_bits(row), num_categories) for row in held)
 
 
 def _kept_rows(
@@ -468,13 +479,11 @@ def generate_partition_from_labels(
             continue
         if kept is not None:
             assignments = kept.take(assignments)
-        masks, presence = _masks_and_presence(assignments, labels, num_categories)
         return ClientPartition(
             spec=spec,
             num_categories=num_categories,
             assignments=tuple(assignments),
-            masks=masks,
-            category_presence=presence,
+            masks=_masks(assignments, labels, num_categories),
             replacement_events=tuple(events),
         )
     raise GenerationError(
@@ -496,9 +505,7 @@ def validate_partition(partition: ClientPartition, labels: np.ndarray) -> list[s
         spec.kind, partition.num_categories, spec.num_clients, spec.samples_per_client
     )
 
-    expected, _ = _masks_and_presence(
-        partition.assignments, labels, partition.num_categories
-    )
+    expected = _masks(partition.assignments, labels, partition.num_categories)
     for j, (assigned, mask) in enumerate(zip(partition.assignments, partition.masks)):
         if len(assigned) != spec.samples_per_client:
             problems.append(
@@ -548,9 +555,14 @@ def partition_stats(partition: ClientPartition) -> PartitionStats:
     """Presence histogram per category and histogram of per-client category counts."""
     sizes = np.array([m.popcount() for m in partition.masks])
     return PartitionStats(
-        category_presence=partition.category_presence.copy(),
-        client_category_counts=np.bincount(sizes, minlength=partition.num_categories + 1),
+        partition.category_presence,
+        np.bincount(sizes, minlength=partition.num_categories + 1),
     )
+
+
+_HEADER_FIELDS = (
+    "kind", "num_clients", "samples_per_client", "seed", "num_categories", "imbalance",
+)
 
 
 def save_partition(partition: ClientPartition, path) -> None:
@@ -576,14 +588,18 @@ def load_partition(path, labels: np.ndarray) -> ClientPartition:
     An export that does not match its own header or ``labels`` is rejected
     with a ValueError naming the file and the offending line.
     """
-    text = Path(path).read_text(encoding="utf-8").splitlines()
+    text = read_utf8(path, ValueError).splitlines()
     if not text or not text[0].startswith("# catfed-partition "):
         raise ValueError(f"{path}: missing partition header")
     try:
-        fields = dict(
-            item.split("=", 1)
-            for item in text[0].removeprefix("# catfed-partition ").split()
-        )
+        fields: dict[str, str] = {}
+        for item in text[0].removeprefix("# catfed-partition ").split():
+            name, value = item.split("=", 1)
+            if name not in _HEADER_FIELDS:
+                raise ValueError(f"unknown field {name!r}")
+            if name in fields:
+                raise ValueError(f"duplicate field {name!r}")
+            fields[name] = value
         imbalance = None
         if fields["imbalance"] != "none":
             raw_count, raw_ratio = fields["imbalance"].split(":")
@@ -634,11 +650,9 @@ def load_partition(path, labels: np.ndarray) -> ClientPartition:
         raise ValueError(
             f"{path}: {len(assignments)} client lines, header says {spec.num_clients}"
         )
-    masks, presence = _masks_and_presence(assignments, labels, num_categories)
     return ClientPartition(
         spec=spec,
         num_categories=num_categories,
         assignments=tuple(assignments),
-        masks=masks,
-        category_presence=presence,
+        masks=_masks(assignments, labels, num_categories),
     )

@@ -43,20 +43,6 @@ class CategoryMask:
                 f"bits 0x{self.bits:x} do not fit in {self.num_categories} categories"
             )
 
-    @classmethod
-    def from_categories(cls, categories, num_categories: int) -> "CategoryMask":
-        """Mask with bit c set for every id c in ``categories`` (see ``build_mask``).
-
-        ``categories`` is an array-like or any other iterable of integer ids (a
-        set or a generator is read into a list first); floats and bools are
-        refused rather than truncated.
-        """
-        if not isinstance(categories, (np.ndarray, list, tuple)):
-            categories = list(categories)
-        ids = _category_ids(categories, num_categories)
-        present = np.bincount(ids, minlength=num_categories) > 0
-        return cls(_mask_bits(present), num_categories)
-
     def popcount(self) -> int:
         return self.bits.bit_count()
 
@@ -78,9 +64,6 @@ class CategoryMask:
             raise ValueError(
                 f"mask widths differ: {self.num_categories} vs {other.num_categories}"
             )
-
-    def __or__(self, other: "CategoryMask") -> "CategoryMask":
-        return self.union(other)
 
 
 def _category_ids(labels, num_categories: int) -> np.ndarray:
@@ -108,10 +91,15 @@ def _mask_bits(present: np.ndarray) -> int:
 def build_mask(labels, num_categories: int) -> CategoryMask:
     """Mask with bit i set iff label i occurs at least once in ``labels``.
 
-    Non-integer labels are refused, and the range error names the first bad
-    label in input order.
+    ``labels`` is an array-like or any other iterable of integer ids (a set or
+    a generator is read into a list first).  Floats and bools are refused
+    rather than truncated, and the range error names the first bad label in
+    input order.
     """
-    return CategoryMask.from_categories(labels, num_categories)
+    if not isinstance(labels, (np.ndarray, list, tuple)):
+        labels = list(labels)
+    present = np.bincount(_category_ids(labels, num_categories), minlength=num_categories) > 0
+    return CategoryMask(_mask_bits(present), num_categories)
 
 
 @dataclass(frozen=True)

@@ -54,13 +54,11 @@ def make_partition(assignments, masks) -> ClientPartition:
     """Hand-built partition: client j holds rows ``assignments[j]`` and
     advertises ``masks[j]``."""
     masks = tuple(masks)
-    width = masks[0].num_categories
     return ClientPartition(
         spec=DistributionSpec(kind="D1", num_clients=len(masks)),
-        num_categories=width,
+        num_categories=masks[0].num_categories,
         assignments=tuple(assignments),
         masks=masks,
-        category_presence=np.array([sum(m.has(c) for m in masks) for c in range(width)]),
     )
 
 

@@ -219,8 +219,8 @@ def test_cost_model_exactness():
 
         ledger = CostLedger(model)
         for _ in range(rounds):
-            ledger.record(k, 0)
-        assert ledger.cumulative == expected
+            _, total = ledger.record(k, 0)
+        assert total == expected
         assert cumulative_cost(model, [k] * rounds) == expected
     check(
         "cost model exactness",

@@ -282,6 +282,12 @@ class TestErrors:
         assert "error:" in err
         assert "strategy" in err
 
+    def test_non_utf8_config_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"rounds = 2\noutput = caf\xe9.csv\n")
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: not valid UTF-8 (byte 0xe9)\n"
+
 
 def test_records_to_csv_uses_repr_floats():
     record = RoundRecord(

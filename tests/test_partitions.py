@@ -391,6 +391,27 @@ class TestExportRejections:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: header lacks seed"):
             load()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (" kind=D6", "duplicate field 'kind'"),
+            (" seed=7", "duplicate field 'seed'"),
+            (" bogus=1", "unknown field 'bogus'"),
+        ],
+        ids=["repeated-kind", "repeated-seed", "unknown"],
+    )
+    def test_repeated_or_unknown_header_field(self, tmp_path, extra, message):
+        path, load = self.load(tmp_path, header=GOOD_HEADER + extra)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
+            load()
+
+    def test_non_utf8_byte_names_the_line(self, tmp_path):
+        path, load = self.load(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"1: 3", b"1: \xff"))
+        message = rf"^{re.escape(str(path))}:3: not valid UTF-8 \(byte 0xff\)$"
+        with pytest.raises(ValueError, match=message):
+            load()
+
 
 def reference_draw_samples(client_categories, labels, samples_per_client, num_categories,
                            rng):

@@ -8,58 +8,30 @@ from catfed.selection import CategoryMask, resolve_limit, select_random, trace_s
 from conftest import random_masks
 
 
-def mask(cats, width):
-    return CategoryMask.from_categories(cats, width)
-
-
 class TestCategoryMask:
     def test_bits_and_categories_round_trip(self):
-        m = mask([0, 3, 5], 6)
+        m = build_mask([0, 3, 5], 6)
         assert m.bits == 0b101001
         assert m.categories() == (0, 3, 5)
         assert m.popcount() == 3
         assert m.has(3) and not m.has(1)
 
     def test_full_mask(self):
-        assert mask(range(4), 4).is_full()
-        assert not mask([0, 1, 2], 4).is_full()
+        assert build_mask(range(4), 4).is_full()
+        assert not build_mask([0, 1, 2], 4).is_full()
 
     def test_union(self):
-        assert (mask([0], 4) | mask([2], 4)).categories() == (0, 2)
+        assert build_mask([0], 4).union(build_mask([2], 4)).categories() == (0, 2)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="widths differ"):
-            mask([0], 4).union(mask([0], 5))
+            build_mask([0], 4).union(build_mask([0], 5))
 
     def test_out_of_range_bits_rejected(self):
         with pytest.raises(ValueError):
             CategoryMask(bits=1 << 4, num_categories=4)
         with pytest.raises(ValueError):
             CategoryMask(bits=-1, num_categories=4)
-
-    def test_from_categories_refuses_non_integers(self):
-        with pytest.raises(ValueError, match="labels must be integers, got dtype float64"):
-            CategoryMask.from_categories([1.7, 3.2], 10)
-
-    def test_from_categories_names_first_out_of_range_id(self):
-        with pytest.raises(ValueError, match=r"category 12 out of range \[0, 10\)"):
-            CategoryMask.from_categories([3, 12, -1], 10)
-        with pytest.raises(ValueError, match=r"category -1 out of range \[0, 10\)"):
-            CategoryMask.from_categories(np.array([3, -1, 12]), 10)
-
-    def test_from_categories_of_nothing_is_empty(self):
-        assert CategoryMask.from_categories([], 4) == CategoryMask(0, 4)
-
-    def test_from_categories_takes_any_iterable(self):
-        expected = CategoryMask(0b10110, 5)
-        assert CategoryMask.from_categories({4, 1, 2}, 5) == expected
-        assert CategoryMask.from_categories((c for c in [2, 4, 1, 2]), 5) == expected
-        assert CategoryMask.from_categories({1: "a", 2: "b", 4: "c"}.keys(), 5) == expected
-        assert CategoryMask.from_categories(iter([]), 5) == CategoryMask(0, 5)
-
-    def test_from_categories_refuses_bools(self):
-        with pytest.raises(ValueError, match="labels must be integers, got dtype bool"):
-            CategoryMask.from_categories([True, False], 2)
 
     def test_build_mask_from_labels(self):
         labels = np.array([1, 1, 4, 2])
@@ -77,6 +49,17 @@ class TestCategoryMask:
     def test_build_mask_of_nothing_is_empty(self):
         assert build_mask(np.array([]), 10) == CategoryMask(0, 10)
         assert build_mask([], 3).categories() == ()
+
+    def test_build_mask_refuses_bools(self):
+        with pytest.raises(ValueError, match="labels must be integers, got dtype bool"):
+            build_mask([True, False], 2)
+
+    def test_build_mask_takes_any_iterable(self):
+        expected = CategoryMask(0b10110, 5)
+        assert build_mask({4, 1, 2}, 5) == expected
+        assert build_mask((c for c in [2, 4, 1, 2]), 5) == expected
+        assert build_mask({1: "a", 2: "b", 4: "c"}.keys(), 5) == expected
+        assert build_mask(iter([]), 5) == CategoryMask(0, 5)
 
     def test_build_mask_names_first_out_of_range_label(self):
         with pytest.raises(ValueError, match=r"^category -1 out of range \[0, 10\)$"):
@@ -111,25 +94,25 @@ class TestPerformanceStrategy:
     def test_redundant_coverage_tolerated(self):
         # Client 0 already covers category 2; the category is skipped rather
         # than triggering a third pick, and coverage stays full.
-        masks = [mask([0, 2], 4), mask([1, 3], 4), mask([0], 4)]
+        masks = [build_mask([0, 2], 4), build_mask([1, 3], 4), build_mask([0], 4)]
         res = select_performance(masks, SelectionConfig(num_categories=4, limit=4))
         assert res.selected == (0, 1)
         assert res.coverage.is_full()
         assert res.skipped_categories == (2, 3)
 
     def test_limit_stops_scan(self):
-        masks = [mask([0], 3), mask([1], 3), mask([2], 3)]
+        masks = [build_mask([0], 3), build_mask([1], 3), build_mask([2], 3)]
         res = select_performance(masks, SelectionConfig(num_categories=3, limit=2))
         assert res.selected == (0, 1)
 
     def test_ties_prefer_lower_client_index(self):
-        masks = [mask([1], 3), mask([1], 3), mask([0, 2], 3)]
+        masks = [build_mask([1], 3), build_mask([1], 3), build_mask([0, 2], 3)]
         res = select_performance(masks, SelectionConfig(num_categories=3, mode=Mode.B))
         # category 0 -> client 2 (largest mask), category 1 -> client 0 over 1
         assert res.selected == (2, 0)
 
     def test_uncovered_category_skipped(self):
-        masks = [mask([0], 3), mask([2], 3)]
+        masks = [build_mask([0], 3), build_mask([2], 3)]
         res = select_performance(masks, SelectionConfig(num_categories=3, mode=Mode.B))
         assert res.selected == (0, 1)
         assert res.skipped_categories == (1,)
@@ -138,23 +121,23 @@ class TestPerformanceStrategy:
 
 class TestCostStrategy:
     def test_subset_client_rejected(self):
-        masks = [mask([0, 1, 2], 4), mask([1, 2, 3], 4), mask([0], 4)]
+        masks = [build_mask([0, 1, 2], 4), build_mask([1, 2, 3], 4), build_mask([0], 4)]
         res = select_cost(masks, SelectionConfig(num_categories=4, limit=3))
         assert res.selected == (0, 1)
         assert res.coverage.is_full()
 
     def test_duplicate_mask_rejected_equal_sets(self):
-        masks = [mask([0, 1], 3), mask([0, 1], 3), mask([2], 3)]
+        masks = [build_mask([0, 1], 3), build_mask([0, 1], 3), build_mask([2], 3)]
         res = select_cost(masks, SelectionConfig(num_categories=3, limit=3))
         assert res.selected == (0, 2)
 
     def test_stops_at_full_coverage(self):
-        masks = [mask(range(5), 5)] + [mask([i], 5) for i in range(5)]
+        masks = [build_mask(range(5), 5)] + [build_mask([i], 5) for i in range(5)]
         res = select_cost(masks, SelectionConfig(num_categories=5, mode=Mode.B))
         assert res.selected == (0,)
 
     def test_limit_one_takes_largest_mask(self):
-        masks = [mask([0], 4), mask([1, 2, 3], 4), mask([0, 1], 4)]
+        masks = [build_mask([0], 4), build_mask([1, 2, 3], 4), build_mask([0, 1], 4)]
         res = select_cost(masks, SelectionConfig(num_categories=4, limit=1))
         assert res.selected == (1,)
         assert res.covered_count() == masks[1].popcount()
@@ -162,25 +145,25 @@ class TestCostStrategy:
 
 class TestRandomStrategy:
     def test_draws_k_distinct(self):
-        masks = [mask([i % 4], 4) for i in range(20)]
+        masks = [build_mask([i % 4], 4) for i in range(20)]
         res = select_random(masks, 5, np.random.default_rng(0))
         assert len(set(res.selected)) == 5
         assert all(0 <= j < 20 for j in res.selected)
         assert res.coverage.categories() == tuple(sorted({j % 4 for j in res.selected}))
 
     def test_same_stream_same_draw(self):
-        masks = [mask([0], 2)] * 30
+        masks = [build_mask([0], 2)] * 30
         a = select_random(masks, 7, np.random.default_rng(42))
         b = select_random(masks, 7, np.random.default_rng(42))
         assert a.selected == b.selected
 
     def test_coverage_reported(self):
-        masks = [mask([i % 3], 3) for i in range(9)]
+        masks = [build_mask([i % 3], 3) for i in range(9)]
         res = select_random(masks, 9, np.random.default_rng(1))
         assert res.coverage.is_full()
 
     def test_bad_k_rejected(self):
-        masks = [mask([0], 2)] * 5
+        masks = [build_mask([0], 2)] * 5
         with pytest.raises(ValueError):
             select_random(masks, 6, np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -253,7 +236,7 @@ def test_selection_is_deterministic():
 
 
 def test_trace_mentions_each_pick():
-    masks = [mask([0, 2], 4), mask([1, 3], 4), mask([0], 4)]
+    masks = [build_mask([0, 2], 4), build_mask([1, 3], 4), build_mask([0], 4)]
     cfg = SelectionConfig(num_categories=4, limit=4)
     lines = trace_selection(masks, cfg, "cat_performance")
     text = "\n".join(lines)
