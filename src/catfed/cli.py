@@ -32,7 +32,7 @@ from .partitions import (
     partition_stats,
     save_partition,
 )
-from .selection import SelectionConfig, trace_selection
+from .selection import CATEGORY_STRATEGIES, SelectionConfig, trace_selection
 
 ENV_DATA_ROOT = "CATFED_DATA_ROOT"
 CSV_HEADER = (
@@ -170,12 +170,14 @@ def _parse_n_values(raw: str) -> list[int]:
     return sorted(values)
 
 
+def _require_category_strategy(config: RunConfig, command: str) -> None:
+    if config.strategy not in CATEGORY_STRATEGIES:
+        raise ValueError(f"{command} needs a category strategy, got {config.strategy!r}")
+
+
 def cmd_sweep_n(config_path: str, n_values: list[int]) -> int:
     config = load_config(config_path)
-    if config.strategy not in ("cat_performance", "cat_cost"):
-        raise ValueError(
-            f"sweep-n needs a category strategy, got {config.strategy!r}"
-        )
+    _require_category_strategy(config, "sweep-n")
     root = resolve_data_root(config)
     train, test = _load_pair(config, root)
     # One partition and one seed shared by every N so the sweep isolates N.
@@ -202,11 +204,7 @@ def cmd_sweep_n(config_path: str, n_values: list[int]) -> int:
     output = Path(config.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text("\n".join([SWEEP_HEADER] + rows) + "\n", encoding="utf-8")
-    coverage_note = (
-        f"smallest_full_coverage_n={smallest_full}"
-        if smallest_full is not None
-        else "smallest_full_coverage_n=none"
-    )
+    coverage_note = f"smallest_full_coverage_n={smallest_full or 'none'}"
     _summary_path(output).write_text(coverage_note + "\n", encoding="utf-8")
     print(coverage_note)
     return 0
@@ -227,18 +225,11 @@ def cmd_inspect_dataset(config_path: str, split: str) -> int:
 
 def cmd_trace_selection(config_path: str) -> int:
     config = load_config(config_path)
-    if config.strategy not in ("cat_performance", "cat_cost"):
-        raise ValueError(
-            f"trace-selection needs a category strategy, got {config.strategy!r}"
-        )
+    _require_category_strategy(config, "trace-selection")
     root = resolve_data_root(config)
     train = load_dataset(DatasetSpec(config.dataset, "train", root))
     partition = generate_partition(config.distribution_spec(), train)
-    sel = SelectionConfig(
-        num_categories=train.num_categories,
-        mode=config.selection_mode(),
-        limit=config.limit,
-    )
+    sel = SelectionConfig(train.num_categories, config.mode, config.limit)
     for line in trace_selection(list(partition.masks), sel, config.strategy):
         print(line)
     return 0

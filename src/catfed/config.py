@@ -58,9 +58,6 @@ class RunConfig:
         for f in fields(self):
             _check_domain(f.name, getattr(self, f.name))
 
-    def selection_mode(self) -> Mode:
-        return Mode.A if self.mode == "A" else Mode.B
-
     def distribution_spec(self) -> DistributionSpec:
         imbalance = None
         if self.minority_categories:
@@ -78,7 +75,7 @@ class RunConfig:
             strategy=self.strategy,
             rounds=self.rounds,
             client_fraction=self.client_fraction,
-            mode=self.selection_mode(),
+            mode=self.mode,
             limit=self.limit,
             hidden=ARCHITECTURES[self.dataset],
             train=TrainConfig(
@@ -118,7 +115,7 @@ _KEYS = {
                   "a non-empty path or none"),
     "distribution": (str, lambda v: v in KINDS, f"one of {KINDS}"),
     "strategy": (str, lambda v: v in STRATEGIES, f"one of {STRATEGIES}"),
-    "mode": (str.upper, lambda v: v in ("A", "B"), "A or B"),
+    "mode": (str.upper, lambda v: v in {m.value for m in Mode}, "A or B"),
     "limit": (_parse_optional_int, lambda v: v is None or v >= 1, ">= 1 or none"),
     "client_fraction": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "rounds": (int, _positive, ">= 1"),
@@ -174,7 +171,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(read_utf8(path, ConfigError))
+    """The config in ``path``; every ConfigError names the file."""
+    text = read_utf8(path, ConfigError)
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _unwritable(key: str, value: str) -> str | None:

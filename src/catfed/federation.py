@@ -52,6 +52,7 @@ from .seeding import (
     derive_rng,
 )
 from .selection import (
+    CATEGORY_STRATEGIES,
     CategoryMask,
     Mode,
     SelectionConfig,
@@ -61,7 +62,7 @@ from .selection import (
     select_random,
 )
 
-STRATEGIES = ("fedavg_random", "cat_performance", "cat_cost")
+STRATEGIES = ("fedavg_random", *CATEGORY_STRATEGIES)
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", Mode(self.mode))
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if self.limit is not None and self.limit < 1:
+            raise ValueError(f"limit must be positive, got {self.limit}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be positive, got {self.rounds}")
         if not 0.0 < self.client_fraction <= 1.0:
@@ -193,9 +197,7 @@ def _select(
         k = min(_fedavg_k(config.client_fraction, len(masks)), len(masks))
         rng = derive_rng(config.seed, STREAM_SELECTION, round_index)
         return select_random(masks, k, rng)
-    sel = SelectionConfig(
-        num_categories=num_categories, mode=config.mode, limit=config.limit
-    )
+    sel = SelectionConfig(num_categories, config.mode, config.limit)
     if config.strategy == "cat_performance":
         return select_performance(masks, sel)
     return select_cost(masks, sel)

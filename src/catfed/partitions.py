@@ -594,7 +594,9 @@ def load_partition(path, labels: np.ndarray) -> ClientPartition:
     try:
         fields: dict[str, str] = {}
         for item in text[0].removeprefix("# catfed-partition ").split():
-            name, value = item.split("=", 1)
+            name, sep, value = item.partition("=")
+            if not sep:
+                raise ValueError(f"header item {item!r} is not name=value")
             if name not in _HEADER_FIELDS:
                 raise ValueError(f"unknown field {name!r}")
             if name in fields:
@@ -616,7 +618,8 @@ def load_partition(path, labels: np.ndarray) -> ClientPartition:
         raise ValueError(f"{path}:1: header lacks {exc.args[0]}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}:1: {exc}") from exc
-    if labels.size and int(labels.max()) >= num_categories:
+    # Masks are num_categories wide: a wider header is as wrong as a narrower one.
+    if labels.size and int(labels.max()) + 1 != num_categories:
         raise ValueError(
             f"{path}:1: num_categories={num_categories}, but the labels reach "
             f"category {int(labels.max())}"

@@ -20,6 +20,9 @@ import numpy as np
 
 MODE_A_LIMIT = 10
 
+# The strategies that select by category masks, as run and config name them.
+CATEGORY_STRATEGIES = ("cat_performance", "cat_cost")
+
 
 class Mode(enum.Enum):
     """Selection-limit regimes: A caps the pick at 10 clients, B at one per category."""
@@ -104,13 +107,15 @@ def build_mask(labels, num_categories: int) -> CategoryMask:
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Resolves the client cap N from a mode (A=10, B=C) or an explicit value."""
+    """Resolves the client cap N from a mode (A=10, B=C) or an explicit value;
+    ``mode`` may be a Mode or its value, and is stored as the Mode."""
 
     num_categories: int
     mode: Mode = Mode.B
     limit: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", Mode(self.mode))
         if self.num_categories < 1:
             raise ValueError(f"num_categories must be >= 1, got {self.num_categories}")
         if self.limit is not None and self.limit < 1:
@@ -142,11 +147,6 @@ class SelectionResult:
         return self.coverage.popcount()
 
 
-def _sorted_client_order(masks: list[CategoryMask]) -> list[int]:
-    # Descending popcount, ties broken by ascending client index.
-    return sorted(range(len(masks)), key=lambda j: (-masks[j].popcount(), j))
-
-
 def _check_masks(masks: list[CategoryMask]) -> int:
     if not masks:
         raise ValueError("at least one client mask is required")
@@ -155,6 +155,18 @@ def _check_masks(masks: list[CategoryMask]) -> int:
         if m.num_categories != width:
             raise ValueError("all client masks must share num_categories")
     return width
+
+
+def _ranked_scan(masks: list[CategoryMask], config: SelectionConfig) -> tuple[int, int, list]:
+    """The mask width (checked against the config), the cap N, and the clients
+    ranked by descending popcount, ties by ascending index."""
+    width = _check_masks(masks)
+    if width != config.num_categories:
+        raise ValueError(
+            f"mask width {width} != config num_categories {config.num_categories}"
+        )
+    order = sorted(range(len(masks)), key=lambda j: (-masks[j].popcount(), j))
+    return width, resolve_limit(config), order
 
 
 def _union_coverage(masks: list[CategoryMask], selected, num_categories: int) -> CategoryMask:
@@ -192,13 +204,7 @@ def select_performance(
     checked, so popular clients soak up multiple categories.  Categories whose
     holders are all taken (or that no client holds) are skipped and reported.
     """
-    width = _check_masks(masks)
-    if width != config.num_categories:
-        raise ValueError(
-            f"mask width {width} != config num_categories {config.num_categories}"
-        )
-    limit = resolve_limit(config)
-    order = _sorted_client_order(masks)
+    width, limit, order = _ranked_scan(masks, config)
 
     # Ranked positions of the holders of each category, so the per-category
     # scan touches only plausible clients.
@@ -240,17 +246,12 @@ def select_cost(masks: list[CategoryMask], config: SelectionConfig) -> Selection
     scan stops once the cap is reached or every category is covered.  Every
     selected client therefore strictly grows coverage.
     """
-    width = _check_masks(masks)
-    if width != config.num_categories:
-        raise ValueError(
-            f"mask width {width} != config num_categories {config.num_categories}"
-        )
-    limit = resolve_limit(config)
+    width, limit, order = _ranked_scan(masks, config)
     full = (1 << width) - 1
 
     selected: list[int] = []
     psi = 0
-    for j in _sorted_client_order(masks):
+    for j in order:
         if len(selected) == limit or psi == full:
             break
         if psi & masks[j].bits != masks[j].bits:
@@ -266,9 +267,9 @@ def trace_selection(
     masks: list[CategoryMask], config: SelectionConfig, strategy: str
 ) -> list[str]:
     """Human-readable trace of a selection pass: ranked order, then per-step union."""
-    width = _check_masks(masks)
-    limit = resolve_limit(config)
-    order = _sorted_client_order(masks)
+    if strategy not in CATEGORY_STRATEGIES:
+        raise ValueError(f"no trace for strategy {strategy!r}")
+    width, limit, order = _ranked_scan(masks, config)
     lines = [
         f"strategy={strategy} num_categories={width} limit={limit}",
         "rank order (client: popcount categories):",
@@ -277,12 +278,8 @@ def trace_selection(
         cats = ",".join(str(c) for c in masks[j].categories())
         lines.append(f"  #{rank}: client {j}: {masks[j].popcount()} [{cats}]")
 
-    if strategy == "cat_performance":
-        result = select_performance(masks, config)
-    elif strategy == "cat_cost":
-        result = select_cost(masks, config)
-    else:
-        raise ValueError(f"no trace for strategy {strategy!r}")
+    select = select_performance if strategy == "cat_performance" else select_cost
+    result = select(masks, config)
 
     lines.append("steps:")
     psi = 0

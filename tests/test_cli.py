@@ -282,6 +282,14 @@ class TestErrors:
         assert "error:" in err
         assert "strategy" in err
 
+    def test_config_refusal_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("rounds = 2\nstrategy = powerd\n", encoding="utf-8")
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: line 2: strategy must be one of "
+        )
+
     def test_non_utf8_config_names_file_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"rounds = 2\noutput = caf\xe9.csv\n")

@@ -1,9 +1,11 @@
 """Config file parsing, validation, and round-trip serialization."""
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from catfed import ConfigError, Mode
 from catfed.config import (
@@ -80,10 +82,6 @@ class TestValidation:
     def test_invalid_values_rejected(self, line, fragment):
         with pytest.raises(ConfigError, match=fragment):
             parse_config(line + "\n")
-
-    def test_selection_mode_mapping(self):
-        assert RunConfig(mode="A").selection_mode() is Mode.A
-        assert RunConfig(mode="B").selection_mode() is Mode.B
 
     @pytest.mark.parametrize(
         "key, raw, domain",
@@ -318,3 +316,28 @@ def test_out_of_domain_value_names_its_line_property(key_and_value, before):
     with pytest.raises(ConfigError) as info:
         parse_config("\n".join(lines) + "\n")
     assert str(info.value).startswith(f"line {len(before) + 1}: {key} must be ")
+
+
+# Config-like lines: a real or bogus key, a separator, and text that may be
+# anything; mixed with raw bytes that need not even be UTF-8.
+_CONFIG_LINE = st.builds(
+    lambda key, sep, value: f"{key}{sep}{value}",
+    st.sampled_from([f.name for f in dataclasses.fields(RunConfig)] + ["bogus", ""]),
+    st.sampled_from([" = ", "=", " ", " == "]),
+    st.text(max_size=12) | st.integers().map(str) | st.floats().map(repr),
+) | st.text(max_size=20)
+_CONFIG_BYTES = st.binary(max_size=200) | st.lists(_CONFIG_LINE, max_size=8).map(
+    lambda lines: "\n".join(lines).encode("utf-8")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_CONFIG_BYTES)
+def test_arbitrary_config_bytes_load_or_name_the_file_property(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_bytes(data)
+        try:
+            load_config(path)
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}:")

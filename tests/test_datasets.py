@@ -1,10 +1,13 @@
 import mmap
 import re
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catfed import (
     DataConsistencyError,
@@ -413,3 +416,35 @@ def test_labeled_dataset_guards():
 def test_labeled_dataset_refuses_bad_labels(images, labels, message):
     with pytest.raises(DataConsistencyError, match=message):
         LabeledDataset(images=images, labels=labels, num_categories=5, name="mnist")
+
+
+# An IDX file that is nearly right: the right or a wrong magic, a count
+# around the payload's, and a payload of a few plausible sizes.
+_IDX_IMAGES = st.builds(
+    lambda magic, n, side, size: struct.pack(">4i", magic, n, side, 28) + b"\x07" * size,
+    st.sampled_from([IMAGE_MAGIC, LABEL_MAGIC, 0]),
+    st.integers(-2, 3) | st.integers(-(2**31), 2**31 - 1),
+    st.sampled_from([27, 28, 2**31 - 1]),
+    st.sampled_from([0, 1, 783, 784, 1568]),
+)
+_IDX_LABELS = st.builds(
+    lambda magic, n, payload: struct.pack(">2i", magic, n) + payload,
+    st.sampled_from([LABEL_MAGIC, IMAGE_MAGIC]),
+    st.integers(-2, 12) | st.integers(-(2**31), 2**31 - 1),
+    st.binary(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=64) | _IDX_IMAGES | _IDX_LABELS,
+       loader=st.sampled_from([load_idx_images, load_idx_labels]))
+def test_arbitrary_idx_bytes_load_or_name_the_file_property(data, loader):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz-idx-ubyte"
+        path.write_bytes(data)
+        try:
+            loaded = loader(path)
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            assert loaded.shape[0] == struct.unpack(">i", data[4:8])[0]

@@ -8,6 +8,7 @@ from catfed import (
     DistributionSpec,
     ExperimentConfig,
     LabeledDataset,
+    Mode,
     RoundError,
     check_loss_decomposition,
     evaluate,
@@ -262,6 +263,24 @@ class TestRunExperiment:
             ExperimentConfig(strategy="fedavg_random", rounds=0)
         with pytest.raises(ValueError, match="client_fraction"):
             ExperimentConfig(strategy="fedavg_random", client_fraction=0.0)
+        with pytest.raises(ValueError, match="'C'"):
+            ExperimentConfig(strategy="cat_cost", mode="C")
+        with pytest.raises(ValueError, match="limit must be positive, got 0"):
+            ExperimentConfig(strategy="cat_cost", limit=0)
+
+    def test_mode_value_caps_the_round_like_the_member(self):
+        # Mode A caps a 47-category selection at 10 clients, whether the
+        # config names the mode by its member or by its value.
+        train, test = make_pair(num_classes=47, train_samples=2350, num_pixels=8, seed=1)
+        spec = DistributionSpec(kind="D2", num_clients=100, samples_per_client=20, seed=4)
+        part = generate_partition(spec, train)
+        picked = []
+        for mode in ("A", Mode.A, Mode.B):
+            cfg = ExperimentConfig(strategy="cat_performance", rounds=1, hidden=(8,),
+                                   mode=mode)
+            picked.append(run_experiment(cfg, train, part, test).records[0].selected_k)
+        assert picked[:2] == [10, 10]
+        assert picked[2] > 10
 
 
 def test_diverging_client_raises_round_error_naming_round_and_client():

@@ -30,7 +30,7 @@ from catfed.partitions import (
     save_partition,
     validate_partition,
 )
-from catfed.selection import CategoryMask
+from catfed.selection import CategoryMask, build_mask
 from catfed.seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
 from conftest import make_dataset, make_pair
 
@@ -162,6 +162,62 @@ class TestDeterminismAndEdges:
             DistributionSpec(kind="D1", num_clients=0)
         with pytest.raises(ValueError, match="ratio"):
             DistributionSpec(kind="D1", imbalance=(4, 1.5))
+
+
+class TestValidateReportsEachProblem:
+    """Each check of validate_partition, tripped alone on a valid D1 partition
+    (100 clients x 40 samples, presence 64 54 48 42 32 29 21 16 9 3)."""
+
+    @pytest.fixture(scope="class")
+    def valid(self):
+        ds = dataset_for("D1")
+        spec = DistributionSpec(kind="D1", num_clients=100, samples_per_client=40, seed=3)
+        part = generate_partition(spec, ds)
+        assert validate_partition(part, ds.labels) == []
+        return part, ds.labels
+
+    @staticmethod
+    def with_client(part, j, assigned, mask):
+        assignments, masks = list(part.assignments), list(part.masks)
+        assignments[j], masks[j] = assigned, mask
+        return dataclasses.replace(part, assignments=tuple(assignments), masks=tuple(masks))
+
+    def test_wrong_sample_count(self, valid):
+        part, labels = valid
+        short = self.with_client(part, 3, part.assignments[3][:-1], part.masks[3])
+        assert validate_partition(short, labels) == ["client 3: 39 samples != 40"]
+
+    def test_stored_mask_disagrees(self, valid):
+        part, labels = valid
+        swapped = self.with_client(part, 3, part.assignments[3], part.masks[4])
+        assert validate_partition(swapped, labels) == [
+            "client 3: stored mask disagrees with assigned labels"
+        ]
+
+    def test_category_count_outside_bounds(self, valid):
+        part, labels = valid
+        rows = np.concatenate([np.flatnonzero(labels == c)[:7] for c in range(6)])[:40]
+        wide = self.with_client(part, 3, rows, build_mask(labels[rows], 10))
+        assert validate_partition(wide, labels) == ["client 3: 6 categories outside [1, 5]"]
+
+    def test_presence_outside_bounds(self, valid):
+        # Folding category 9 into 8 leaves 9 held by no client.
+        part, labels = valid
+        folded = np.minimum(labels, 8)
+        masks = partitions._masks(part.assignments, folded, 10)
+        assert validate_partition(dataclasses.replace(part, masks=masks), folded) == [
+            "category 9: presence 0 outside [3, 70]"
+        ]
+
+    def test_d1_profile_must_not_increase(self, valid):
+        # Reversing the category ids reverses the presence profile.
+        part, labels = valid
+        reversed_labels = 9 - labels
+        masks = partitions._masks(part.assignments, reversed_labels, 10)
+        reversed_part = dataclasses.replace(part, masks=masks)
+        assert validate_partition(reversed_part, reversed_labels) == [
+            "D1 presence profile is not non-increasing"
+        ]
 
 
 class TestKindBounds:
@@ -386,6 +442,20 @@ class TestExportRejections:
         ):
             load()
 
+    def test_num_categories_above_labels(self, tmp_path):
+        header = GOOD_HEADER.replace("num_categories=10", "num_categories=1000000000000000")
+        path, load = self.load(tmp_path, header=header)
+        with pytest.raises(
+            ValueError,
+            match=f"{re.escape(str(path))}:1: num_categories=1000000000000000, but the labels "
+            "reach category 9",
+        ):
+            load()
+
+    def test_blank_lines_between_clients_are_skipped(self, tmp_path):
+        path, load = self.load(tmp_path, second="\n  \n1: 3 4 5\n")
+        assert [a.tolist() for a in load().assignments] == [[0, 1, 2], [3, 4, 5]]
+
     def test_missing_header_field(self, tmp_path):
         path, load = self.load(tmp_path, header=GOOD_HEADER.replace(" seed=0", ""))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: header lacks seed"):
@@ -397,8 +467,9 @@ class TestExportRejections:
             (" kind=D6", "duplicate field 'kind'"),
             (" seed=7", "duplicate field 'seed'"),
             (" bogus=1", "unknown field 'bogus'"),
+            (" noequals", "header item 'noequals' is not name=value"),
         ],
-        ids=["repeated-kind", "repeated-seed", "unknown"],
+        ids=["repeated-kind", "repeated-seed", "unknown", "no-equals"],
     )
     def test_repeated_or_unknown_header_field(self, tmp_path, extra, message):
         path, load = self.load(tmp_path, header=GOOD_HEADER + extra)
@@ -566,3 +637,29 @@ class TestReferenceTranscription:
         with pytest.raises(GenerationError, match="dataset holds no samples of category 3"):
             generate_partition_from_labels(spec, labels, 10)
         assert_matches_reference(spec, labels, 10)
+
+
+GOOD_EXPORT = f"{GOOD_HEADER}\n0: 0 1 2\n1: 3 4 5\n".encode("utf-8")
+
+
+@st.composite
+def spliced_exports(draw):
+    """GOOD_EXPORT with one slice replaced by arbitrary bytes or digits."""
+    lo = draw(st.integers(0, len(GOOD_EXPORT)))
+    hi = draw(st.integers(lo, len(GOOD_EXPORT)))
+    patch = draw(st.binary(max_size=12) | st.integers().map(lambda n: str(n).encode()))
+    return GOOD_EXPORT[:lo] + patch + GOOD_EXPORT[hi:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.binary(max_size=200) | spliced_exports())
+def test_arbitrary_export_bytes_load_or_name_the_file_property(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "part.txt"
+        path.write_bytes(data)
+        try:
+            part = load_partition(path, TestExportRejections.LABELS)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            assert part.num_clients == part.spec.num_clients

@@ -89,6 +89,17 @@ class TestLimitResolution:
         with pytest.raises(ValueError):
             SelectionConfig(num_categories=5, limit=0)
 
+    def test_mode_value_is_read_as_the_member(self):
+        cfg = SelectionConfig(num_categories=47, mode="A")
+        assert cfg.mode is Mode.A
+        assert resolve_limit(cfg) == 10
+        assert SelectionConfig(num_categories=47, mode="B").mode is Mode.B
+
+    @pytest.mark.parametrize("mode", ["C", "a", None])
+    def test_unknown_mode_rejected_at_construction(self, mode):
+        with pytest.raises(ValueError, match=repr(mode)):
+            SelectionConfig(num_categories=5, mode=mode)
+
 
 class TestPerformanceStrategy:
     def test_redundant_coverage_tolerated(self):
@@ -244,3 +255,21 @@ def test_trace_mentions_each_pick():
     assert "covered 4/4" in text
     with pytest.raises(ValueError, match="no trace"):
         trace_selection(masks, cfg, "fedavg_random")
+
+
+def test_trace_of_cost_keeps_only_growing_picks():
+    masks = [build_mask([0, 1], 4), build_mask([0], 4), build_mask([2], 4)]
+    lines = trace_selection(masks, SelectionConfig(num_categories=4), "cat_cost")
+    assert lines[0] == "strategy=cat_cost num_categories=4 limit=4"
+    assert lines[-3:] == [
+        "  step 0: select client 0 -> covered [0,1]",
+        "  step 1: select client 2 -> covered [0,1,2]",
+        "selected 2 clients, covered 3/4 categories",
+    ]
+
+
+def test_trace_refuses_a_width_mismatch_up_front():
+    masks = [build_mask([0, 1], 4), build_mask([2], 4)]
+    for strategy in ("cat_performance", "cat_cost"):
+        with pytest.raises(ValueError, match="mask width 4 != config num_categories 5"):
+            trace_selection(masks, SelectionConfig(num_categories=5), strategy)
