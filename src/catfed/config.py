@@ -88,8 +88,24 @@ class RunConfig:
         )
 
 
+def _ascii(raw: str) -> str:
+    # int() and float() also read other scripts' digits and underscores,
+    # which serialize_config would write back as different text.
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(f"not an ASCII numeral: {raw!r}")
+    return raw
+
+
+def _parse_int(raw: str) -> int:
+    return int(_ascii(raw))
+
+
+def _parse_float(raw: str) -> float:
+    return float(_ascii(raw))
+
+
 def _parse_optional_int(raw: str) -> int | None:
-    return None if raw.lower() == "none" else int(raw)
+    return None if raw.lower() == "none" else _parse_int(raw)
 
 
 def _parse_optional_str(raw: str) -> str | None:
@@ -117,19 +133,19 @@ _KEYS = {
     "strategy": (str, lambda v: v in STRATEGIES, f"one of {STRATEGIES}"),
     "mode": (str.upper, lambda v: v in {m.value for m in Mode}, "A or B"),
     "limit": (_parse_optional_int, lambda v: v is None or v >= 1, ">= 1 or none"),
-    "client_fraction": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "rounds": (int, _positive, ">= 1"),
-    "learning_rate": (float, _nonnegative, ">= 0"),
-    "batch_size": (int, _positive, ">= 1"),
-    "local_epochs": (int, _positive, ">= 1"),
-    "num_clients": (int, _positive, ">= 1"),
-    "samples_per_client": (int, _positive, ">= 1"),
-    "seed": (int, _nonnegative, ">= 0"),
-    "client_cost": (float, _nonnegative, ">= 0"),
-    "server_cost": (float, _nonnegative, ">= 0"),
-    "minority_categories": (int, _nonnegative, ">= 0"),
-    "minority_ratio": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "seeds": (int, _positive, ">= 1"),
+    "client_fraction": (_parse_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "rounds": (_parse_int, _positive, ">= 1"),
+    "learning_rate": (_parse_float, _nonnegative, ">= 0"),
+    "batch_size": (_parse_int, _positive, ">= 1"),
+    "local_epochs": (_parse_int, _positive, ">= 1"),
+    "num_clients": (_parse_int, _positive, ">= 1"),
+    "samples_per_client": (_parse_int, _positive, ">= 1"),
+    "seed": (_parse_int, _nonnegative, ">= 0"),
+    "client_cost": (_parse_float, _nonnegative, ">= 0"),
+    "server_cost": (_parse_float, _nonnegative, ">= 0"),
+    "minority_categories": (_parse_int, _nonnegative, ">= 0"),
+    "minority_ratio": (_parse_float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "seeds": (_parse_int, _positive, ">= 1"),
     "output": (str, lambda v: v != "", "a non-empty path"),
 }
 

@@ -26,7 +26,7 @@ class CostModel:
     server_cost: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.client_cost < 0 or self.server_cost < 0:
+        if not (self.client_cost >= 0 and self.server_cost >= 0):
             raise ValueError(
                 f"costs must be nonnegative, got client={self.client_cost} "
                 f"server={self.server_cost}"
@@ -76,9 +76,7 @@ class DecompositionReport:
         return bool(self.undefined_categories)
 
 
-def check_loss_decomposition(
-    reports: Sequence[EvalReport], num_categories: int | None = None
-) -> DecompositionReport:
+def check_loss_decomposition(reports: Sequence[EvalReport]) -> DecompositionReport:
     """Cross-check the two ways of summing a population's loss.
 
     Client-major sums each client's total loss; category-major regroups the
@@ -89,8 +87,7 @@ def check_loss_decomposition(
     """
     if not reports:
         raise ValueError("needs at least one client report")
-    if num_categories is None:
-        num_categories = reports[0].num_categories
+    num_categories = reports[0].num_categories
     for r in reports:
         if r.num_categories != num_categories:
             raise ValueError(

@@ -91,6 +91,8 @@ class ExperimentConfig:
             )
         if not all(h > 0 for h in self.hidden):
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

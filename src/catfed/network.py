@@ -42,7 +42,7 @@ class TrainConfig:
     local_epochs: int = 1
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")

@@ -93,6 +93,8 @@ class DistributionSpec:
             raise ValueError(
                 f"samples_per_client must be positive, got {self.samples_per_client}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.imbalance is not None:
             minority_count, ratio = self.imbalance
             if minority_count < 0:

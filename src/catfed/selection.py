@@ -55,18 +55,8 @@ class CategoryMask:
     def categories(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.num_categories) if self.bits >> i & 1)
 
-    def union(self, other: "CategoryMask") -> "CategoryMask":
-        self._check_width(other)
-        return CategoryMask(self.bits | other.bits, self.num_categories)
-
     def is_full(self) -> bool:
         return self.bits == (1 << self.num_categories) - 1
-
-    def _check_width(self, other: "CategoryMask") -> None:
-        if other.num_categories != self.num_categories:
-            raise ValueError(
-                f"mask widths differ: {self.num_categories} vs {other.num_categories}"
-            )
 
 
 def _category_ids(labels, num_categories: int) -> np.ndarray:
@@ -193,49 +183,56 @@ def select_random(
     )
 
 
-def select_performance(
-    masks: list[CategoryMask], config: SelectionConfig
+def _performance_scan(
+    masks: list[CategoryMask], width: int, limit: int, order: list[int]
 ) -> SelectionResult:
-    """One client per category, in ascending category order.
-
-    Clients are ranked by descending mask popcount (ties by ascending client
-    index).  Each category claims the first ranked client that holds it and is
-    not yet selected; redundant coverage from earlier picks is deliberately not
-    checked, so popular clients soak up multiple categories.  Categories whose
-    holders are all taken (or that no client holds) are skipped and reported.
-    """
-    width, limit, order = _ranked_scan(masks, config)
-
-    # Ranked positions of the holders of each category, so the per-category
-    # scan touches only plausible clients.
-    holders: list[list[int]] = [[] for _ in range(width)]
-    for rank, j in enumerate(order):
-        for c in masks[j].categories():
-            holders[c].append(rank)
-
     selected: list[int] = []
     taken = [False] * len(masks)
     skipped: list[int] = []
     for category in range(width):
         if len(selected) == limit:
             break
-        chosen = -1
-        for rank in holders[category]:
-            j = order[rank]
-            if not taken[j]:
-                chosen = j
+        for j in order:
+            if masks[j].bits >> category & 1 and not taken[j]:
+                taken[j] = True
+                selected.append(j)
                 break
-        if chosen < 0:
+        else:
             skipped.append(category)
-            continue
-        taken[chosen] = True
-        selected.append(chosen)
-
     return SelectionResult(
-        selected=tuple(selected),
-        coverage=_union_coverage(masks, selected, width),
-        skipped_categories=tuple(skipped),
+        tuple(selected), _union_coverage(masks, selected, width), tuple(skipped)
     )
+
+
+def _cost_scan(
+    masks: list[CategoryMask], width: int, limit: int, order: list[int]
+) -> SelectionResult:
+    full = (1 << width) - 1
+    selected: list[int] = []
+    psi = 0
+    for j in order:
+        if len(selected) == limit or psi == full:
+            break
+        if psi & masks[j].bits != masks[j].bits:
+            selected.append(j)
+            psi |= masks[j].bits
+    return SelectionResult(tuple(selected), CategoryMask(psi, width))
+
+
+# Each category strategy's scan of the ranked order, by its name.
+_SCANS = dict(zip(CATEGORY_STRATEGIES, (_performance_scan, _cost_scan)))
+
+
+def select_performance(masks: list[CategoryMask], config: SelectionConfig) -> SelectionResult:
+    """One client per category, in ascending category order.
+
+    Clients are ranked by descending mask popcount (ties by ascending client
+    index).  Each category claims the first ranked client that holds it and is
+    not yet selected; redundant coverage from earlier picks is deliberately not
+    checked, so popular clients soak up multiple categories.  Categories that
+    no untaken client holds are skipped and reported.
+    """
+    return _performance_scan(masks, *_ranked_scan(masks, config))
 
 
 def select_cost(masks: list[CategoryMask], config: SelectionConfig) -> SelectionResult:
@@ -246,21 +243,7 @@ def select_cost(masks: list[CategoryMask], config: SelectionConfig) -> Selection
     scan stops once the cap is reached or every category is covered.  Every
     selected client therefore strictly grows coverage.
     """
-    width, limit, order = _ranked_scan(masks, config)
-    full = (1 << width) - 1
-
-    selected: list[int] = []
-    psi = 0
-    for j in order:
-        if len(selected) == limit or psi == full:
-            break
-        if psi & masks[j].bits != masks[j].bits:
-            selected.append(j)
-            psi |= masks[j].bits
-
-    return SelectionResult(
-        selected=tuple(selected), coverage=CategoryMask(psi, width)
-    )
+    return _cost_scan(masks, *_ranked_scan(masks, config))
 
 
 def trace_selection(
@@ -278,8 +261,7 @@ def trace_selection(
         cats = ",".join(str(c) for c in masks[j].categories())
         lines.append(f"  #{rank}: client {j}: {masks[j].popcount()} [{cats}]")
 
-    select = select_performance if strategy == "cat_performance" else select_cost
-    result = select(masks, config)
+    result = _SCANS[strategy](masks, width, limit, order)
 
     lines.append("steps:")
     psi = 0

@@ -61,6 +61,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"line 2: bad value for 'rounds'"):
             parse_config("seed = 0\nrounds = fifty\n")
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [("rounds", "١٢"), ("seed", "1_000"), ("learning_rate", "١e-3"),
+         ("client_cost", "1_0.5")],
+        ids=["arabic-indic-int", "underscore-int", "arabic-indic-float", "underscore-float"],
+    )
+    def test_only_ascii_numerals_are_read(self, key, raw):
+        with pytest.raises(ConfigError, match=rf"^line 1: bad value for '{key}': "):
+            parse_config(f"{key} = {raw}\n")
+
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("rounds = 3\nseed = 11\n", encoding="utf-8")

@@ -40,6 +40,8 @@ class TestCostModel:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             CostModel(client_cost=-1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            CostModel(client_cost=float("nan"))
         with pytest.raises(ValueError):
             round_cost(CostModel(), -2)
 

@@ -267,6 +267,8 @@ class TestRunExperiment:
             ExperimentConfig(strategy="cat_cost", mode="C")
         with pytest.raises(ValueError, match="limit must be positive, got 0"):
             ExperimentConfig(strategy="cat_cost", limit=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(strategy="cat_cost", seed=-1)
 
     def test_mode_value_caps_the_round_like_the_member(self):
         # Mode A caps a 47-category selection at 10 clients, whether the

@@ -215,6 +215,10 @@ class TestLossAndGrad:
 
 
 class TestSgdAndClientUpdate:
+    def test_nan_learning_rate_rejected(self):
+        with pytest.raises(ValueError, match="learning_rate must be >= 0, got nan"):
+            TrainConfig(learning_rate=float("nan"))
+
     def test_sgd_step_moves_against_gradient(self):
         model = init_model([3, 2], np.random.default_rng(1))
         grad = ModelParams(

@@ -162,6 +162,8 @@ class TestDeterminismAndEdges:
             DistributionSpec(kind="D1", num_clients=0)
         with pytest.raises(ValueError, match="ratio"):
             DistributionSpec(kind="D1", imbalance=(4, 1.5))
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            DistributionSpec(kind="D1", seed=-1)
 
 
 class TestValidateReportsEachProblem:

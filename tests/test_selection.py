@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catfed import Mode, SelectionConfig, build_mask, select_cost, select_performance
+from catfed import selection
 from catfed.selection import CategoryMask, resolve_limit, select_random, trace_selection
 from conftest import random_masks
 
@@ -19,13 +20,6 @@ class TestCategoryMask:
     def test_full_mask(self):
         assert build_mask(range(4), 4).is_full()
         assert not build_mask([0, 1, 2], 4).is_full()
-
-    def test_union(self):
-        assert build_mask([0], 4).union(build_mask([2], 4)).categories() == (0, 2)
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="widths differ"):
-            build_mask([0], 4).union(build_mask([0], 5))
 
     def test_out_of_range_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -238,6 +232,16 @@ def test_cost_never_selects_more_than_performance(masks):
     assert select_cost(masks, cfg).count <= select_performance(masks, cfg).count
 
 
+def test_mixed_mask_widths_rejected():
+    masks = [build_mask([0], 4), build_mask([0], 5)]
+    cfg = SelectionConfig(num_categories=4)
+    for select in (select_performance, select_cost):
+        with pytest.raises(ValueError, match="must share num_categories"):
+            select(masks, cfg)
+    with pytest.raises(ValueError, match="must share num_categories"):
+        select_random(masks, 1, np.random.default_rng(0))
+
+
 def test_selection_is_deterministic():
     rng = np.random.default_rng(7)
     masks = random_masks(rng, 40, 12)
@@ -253,6 +257,7 @@ def test_trace_mentions_each_pick():
     text = "\n".join(lines)
     assert "select client 0" in text and "select client 1" in text
     assert "covered 4/4" in text
+    assert lines[-2] == "skipped categories (no eligible client): [2,3]"
     with pytest.raises(ValueError, match="no trace"):
         trace_selection(masks, cfg, "fedavg_random")
 
@@ -273,3 +278,18 @@ def test_trace_refuses_a_width_mismatch_up_front():
     for strategy in ("cat_performance", "cat_cost"):
         with pytest.raises(ValueError, match="mask width 4 != config num_categories 5"):
             trace_selection(masks, SelectionConfig(num_categories=5), strategy)
+
+
+@pytest.mark.parametrize("strategy", ["cat_performance", "cat_cost"])
+def test_trace_ranks_the_masks_once(monkeypatch, strategy):
+    calls = []
+    ranked_scan = selection._ranked_scan
+
+    def counted(*args):
+        calls.append(args)
+        return ranked_scan(*args)
+
+    monkeypatch.setattr(selection, "_ranked_scan", counted)
+    masks = [build_mask([0, 1], 4), build_mask([0], 4), build_mask([2], 4)]
+    trace_selection(masks, SelectionConfig(num_categories=4), strategy)
+    assert len(calls) == 1

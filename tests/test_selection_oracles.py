@@ -7,8 +7,10 @@ keep day-to-day iteration quick while exercising the same agreement logic.
 import numpy as np
 import pytest
 
-from catfed import Mode, SelectionConfig, select_cost, select_performance
+from catfed import DistributionSpec, Mode, SelectionConfig, select_cost, select_performance
+from catfed.partitions import generate_partition_from_labels
 from catfed.selection import resolve_limit
+from catfed.synthetic import FIXTURE_COUNTS
 from conftest import random_masks
 from oracles import cost_pseudocode, minimal_cover_size, performance_pseudocode
 
@@ -42,6 +44,32 @@ def test_mode_b_matches_pseudocode_at_category_limit(seed=99):
         masks, width = _random_instance(rng)
         cfg = SelectionConfig(num_categories=width, mode=Mode.B)
         bits = [m.bits for m in masks]
+        n = resolve_limit(cfg)
+        assert list(select_performance(masks, cfg).selected) == performance_pseudocode(
+            bits, width, n
+        )
+        assert list(select_cost(masks, cfg).selected) == cost_pseudocode(bits, width, n)
+
+
+@pytest.mark.parametrize(
+    "kind, dataset",
+    [("D1", "mnist"), ("D2", "femnist47"), ("D3", "kmnist49"),
+     ("D4", "femnist47"), ("D5", "kmnist49")],
+)
+def test_production_matches_pseudocode_on_generated_partitions(kind, dataset):
+    # Masks of 100 clients over 10-49 categories, as the runs select from:
+    # wider and more skewed than the random instances above.
+    counts = FIXTURE_COUNTS[dataset]["train"]
+    labels = np.repeat(np.arange(len(counts)), counts)
+    spec = DistributionSpec(kind=kind, num_clients=100, samples_per_client=600)
+    masks = list(generate_partition_from_labels(spec, labels, len(counts)).masks)
+    bits = [m.bits for m in masks]
+    width = len(counts)
+    for cfg in (
+        SelectionConfig(num_categories=width, mode=Mode.A),
+        SelectionConfig(num_categories=width, mode=Mode.B),
+        SelectionConfig(num_categories=width, limit=100),
+    ):
         n = resolve_limit(cfg)
         assert list(select_performance(masks, cfg).selected) == performance_pseudocode(
             bits, width, n
