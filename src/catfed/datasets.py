@@ -10,10 +10,21 @@ network reads a uint8 row as pixel / 255 (see ``network._Workspace``).
 A split is a view of a read-only mapping of its file: the header's count is
 checked against the file's size, then the payload is mapped, not copied, so
 loading MNIST, Fashion-MNIST or KMNIST costs no pixel copy and the pages are
-read as the run touches them.  FEMNIST-47 is stored transposed, so it is
-copied out of the mapping transposed, one block of images at a time, each
-copied block's pages released as it is done: its peak is one copy plus one
-block.  Labels are converted to int64 straight from their mapping.
+read as the run touches them.  Labels are converted to int64 straight from
+their mapping.
+
+FEMNIST-47 is stored transposed.  Its first load writes each split's images
+once more, transposed, to a hidden row-major IDX file next to the source,
+``.<images file>.rowmajor-<st_size>-<st_mtime_ns>-<st_ino>.idx``, one block
+of images at a time; that load and every later one, in any process, map the
+row-major file as MNIST's own is mapped.  So a data root holds a second copy
+of the FEMNIST-47 images (88 MB for train, 15 MB for test).  The file is
+rebuilt, and the split's older ones deleted, when the source's size, mtime or
+inode changes, or when the file is missing, truncated or was written within
+the source's own timestamp.  Where it cannot be written (a read-only root, a
+full disk), the same blocks fill an in-memory copy instead, on every load.
+An in-place rewrite of the source that keeps its size, mtime and inode goes
+unnoticed.
 
 A dataset file must not be modified in place while a run holds it: the
 mapped pages would change under the run, and truncating the file makes
@@ -24,9 +35,11 @@ mapping on the old file's bytes.
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,12 +65,10 @@ DATASET_CLASSES = {
 # EMNIST-derived files store each image transposed relative to MNIST; fix at
 # load time so every dataset shares the same orientation.
 TRANSPOSED_DATASETS = {"femnist47"}
-# Images per block when copying a transposed split out of its mapping.
-_TRANSPOSE_BLOCK = 1024
+# Images per block when transposing a split or writing an images file.
+_BLOCK_IMAGES = 1024
 # Bytes before the pixels of an image file: magic, count, rows, cols.
 _IMAGE_HEADER_BYTES = struct.calcsize(">4i")
-# Whether mapped pages can be released early (POSIX platforms with madvise).
-_CAN_RELEASE = hasattr(mmap, "MADV_DONTNEED")
 
 
 @dataclass(frozen=True)
@@ -142,24 +153,32 @@ def _read_header(f, path, magic_expected: int, n_dims: int) -> tuple[int, ...]:
     return values[1:]
 
 
-def _read_payload(f, path, count: int, item_bytes: int, what: str) -> np.ndarray:
-    """The ``count`` items of ``item_bytes`` bytes left in ``f``, as a read-only
-    ``(count, item_bytes)`` uint8 view of a read-only mapping of the file.
+def _check_payload(f, path, count: int, item_bytes: int, what: str) -> None:
+    """Refuse a header ``count`` that is negative or does not fill the rest of
+    ``f`` with ``count`` items of ``item_bytes`` bytes.
 
-    The header's count is checked against the file's size before anything
-    is mapped, so a corrupt count is refused rather than trusted.  The view's
-    ``base`` is the mapping, which stays open while the view is alive.
+    The count is checked against the file's size before anything is read or
+    mapped, so a corrupt count is refused rather than trusted.
     """
     if count < 0:
         raise DataFormatError(f"{path}: header promises a negative count of {what}: {count}")
     expected = count * item_bytes
-    offset = f.tell()
-    available = os.fstat(f.fileno()).st_size - offset
+    available = os.fstat(f.fileno()).st_size - f.tell()
     if available != expected:
         raise DataFormatError(
             f"{path}: payload holds {available} bytes, header promises "
             f"{expected} ({count} {what})"
         )
+
+
+def _map_payload(f, path, count: int, item_bytes: int) -> np.ndarray:
+    """The ``count`` items of ``item_bytes`` bytes left in ``f`` (checked by
+    ``_check_payload``), as a read-only ``(count, item_bytes)`` uint8 view of a
+    read-only mapping of the file.
+
+    The view's ``base`` is the mapping, which stays open while the view is alive.
+    """
+    offset = f.tell()
     try:
         mapping = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError) as exc:
@@ -167,20 +186,27 @@ def _read_payload(f, path, count: int, item_bytes: int, what: str) -> np.ndarray
     return np.ndarray((count, item_bytes), dtype=np.uint8, buffer=mapping, offset=offset)
 
 
+def _image_count(f, path) -> int:
+    """Check the header and size of the open IDX image file ``f``; return its
+    image count, leaving ``f`` at the first pixel."""
+    n, rows, cols = _read_header(f, path, IMAGE_MAGIC, 3)
+    if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
+        raise DataFormatError(
+            f"{path}: image size {rows}x{cols} != {IMAGE_SIDE}x{IMAGE_SIDE}"
+        )
+    _check_payload(f, path, n, IMAGE_PIXELS, "images")
+    return n
+
+
 def load_idx_images(path) -> np.ndarray:
     """The (n, 784) uint8 pixels of an IDX image file, as they are stored.
 
     The result is a read-only view of a read-only mapping of the file (see
-    ``_read_payload``); nothing is copied.
+    ``_map_payload``); nothing is copied.
     """
     path = Path(path)
     with open(path, "rb") as f:
-        n, rows, cols = _read_header(f, path, IMAGE_MAGIC, 3)
-        if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
-            raise DataFormatError(
-                f"{path}: image size {rows}x{cols} != {IMAGE_SIDE}x{IMAGE_SIDE}"
-            )
-        return _read_payload(f, path, n, IMAGE_PIXELS, "images")
+        return _map_payload(f, path, _image_count(f, path), IMAGE_PIXELS)
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -188,12 +214,14 @@ def load_idx_labels(path) -> np.ndarray:
     path = Path(path)
     with open(path, "rb") as f:
         (n,) = _read_header(f, path, LABEL_MAGIC, 1)
-        return _read_payload(f, path, n, 1, "labels").reshape(n).astype(np.int64)
+        _check_payload(f, path, n, 1, "labels")
+        return _map_payload(f, path, n, 1).reshape(n).astype(np.int64)
 
 
-def _write_idx(path, header: bytes, payload: np.ndarray) -> None:
-    """Write ``header`` and ``payload`` to a temporary sibling of ``path``, then
-    rename it over ``path``.
+def _write_idx(path, header: bytes, blocks: Iterable[np.ndarray]) -> None:
+    """Write ``header`` and then each C-contiguous array of ``blocks``, from
+    the array's own buffer, to a temporary sibling of ``path``; then rename it
+    over ``path``.
 
     A loaded split maps its file, so rewriting the file in place would change
     or truncate the pages under it; a rename leaves the old bytes to whoever
@@ -204,54 +232,100 @@ def _write_idx(path, header: bytes, payload: np.ndarray) -> None:
     try:
         with open(temporary, "wb") as f:
             f.write(header)
-            f.write(payload.tobytes())
+            for block in blocks:
+                f.write(block)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
 
 
+def _image_header(count: int) -> bytes:
+    return struct.pack(">4i", IMAGE_MAGIC, count, IMAGE_SIDE, IMAGE_SIDE)
+
+
 def write_idx_images(path, pixels: np.ndarray) -> None:
-    """Inverse of load_idx_images for uint8 (n, 784) data; used to build fixtures."""
+    """Inverse of load_idx_images for uint8 (n, 784) data; used to build fixtures.
+
+    The pixels are written a block of rows at a time from their own buffer, so
+    uint8 rows are not copied (other dtypes are converted first).
+    """
     pixels = np.asarray(pixels, dtype=np.uint8)
     if pixels.ndim != 2 or pixels.shape[1] != IMAGE_PIXELS:
         raise ValueError(f"expected (n, {IMAGE_PIXELS}) uint8 pixels, got {pixels.shape}")
-    _write_idx(
-        path, struct.pack(">4i", IMAGE_MAGIC, pixels.shape[0], IMAGE_SIDE, IMAGE_SIDE), pixels
+    blocks = (
+        np.ascontiguousarray(pixels[start : start + _BLOCK_IMAGES])
+        for start in range(0, len(pixels), _BLOCK_IMAGES)
     )
+    _write_idx(path, _image_header(len(pixels)), blocks)
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if labels.ndim != 1 or (labels.size and (labels.min() < 0 or labels.max() > 255)):
         raise ValueError("labels must be a 1-d vector of bytes")
-    _write_idx(path, struct.pack(">2i", LABEL_MAGIC, labels.shape[0]), labels.astype(np.uint8))
+    _write_idx(
+        path, struct.pack(">2i", LABEL_MAGIC, labels.shape[0]), [labels.astype(np.uint8)]
+    )
 
 
-def _copy_out_transposed(pixels: np.ndarray) -> np.ndarray:
-    """A read-only copy of ``pixels`` (a view from ``load_idx_images``) with
-    each 28x28 image transposed.
+def _transposed_blocks(f, path, count: int) -> Iterator[np.ndarray]:
+    """The ``count`` images of the open IDX image file ``f``, each 28x28 image
+    transposed, as C-contiguous (k, 784) blocks of up to ``_BLOCK_IMAGES``.
 
-    The copy is made one block of images at a time, and the mapped pages of
-    every block copied so far are released, so the mapping does not stay
-    resident next to the copy.  Where the platform has no
-    ``madvise(MADV_DONTNEED)`` (Windows), nothing is released and the load
-    holds the mapping and the copy together until it returns.
+    The source is read with ``readinto`` into one block buffer and transposed
+    into a second, which every block reuses: a conversion maps nothing and
+    allocates two blocks, whatever the split's size.
     """
-    mapping = pixels.base
-    out = np.empty(pixels.shape, dtype=np.uint8)
-    grids = pixels.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
-    out_grids = out.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
-    released = 0
-    for start in range(0, len(grids), _TRANSPOSE_BLOCK):
-        stop = min(start + _TRANSPOSE_BLOCK, len(grids))
-        np.copyto(out_grids[start:stop], grids[start:stop].transpose(0, 2, 1))
-        copied = (_IMAGE_HEADER_BYTES + stop * IMAGE_PIXELS) // mmap.PAGESIZE * mmap.PAGESIZE
-        if _CAN_RELEASE and copied > released:
-            mapping.madvise(mmap.MADV_DONTNEED, released, copied - released)
-            released = copied
-    out.flags.writeable = False
-    return out
+    raw = np.empty((min(count, _BLOCK_IMAGES), IMAGE_SIDE, IMAGE_SIDE), dtype=np.uint8)
+    out = np.empty((len(raw), IMAGE_PIXELS), dtype=np.uint8)
+    f.seek(_IMAGE_HEADER_BYTES)
+    for start in range(0, count, _BLOCK_IMAGES):
+        k = min(_BLOCK_IMAGES, count - start)
+        if f.readinto(raw[:k]) != k * IMAGE_PIXELS:
+            raise DataFormatError(f"{path}: file shrank while it was read")
+        np.copyto(out[:k].reshape(k, IMAGE_SIDE, IMAGE_SIDE), raw[:k].transpose(0, 2, 1))
+        yield out[:k]
+
+
+def _row_major_images(f, path: Path, count: int) -> np.ndarray:
+    """The images of the open, checked FEMNIST-47 file ``f`` at ``path``,
+    transposed: a read-only view of a mapping of the split's row-major file.
+
+    The row-major file, ``.<images file>.rowmajor-<size>-<mtime_ns>-<inode>.idx``
+    next to the source, is keyed by the source's ``stat``.  It is used when it
+    holds ``count`` images and was not written within the source's own
+    timestamp: on a filesystem with coarse timestamps, a source rewritten in
+    that tick can reuse the old file's inode and mtime, and so its key.
+    Otherwise it is rebuilt through ``_write_idx`` and the split's older
+    row-major files are deleted.  If it cannot be written, the same blocks
+    fill a read-only in-memory array instead.
+    """
+    source = os.fstat(f.fileno())
+    row_major = path.with_name(
+        f".{path.name}.rowmajor-{source.st_size}-{source.st_mtime_ns}-{source.st_ino}.idx"
+    )
+    try:
+        if os.stat(row_major).st_mtime_ns != source.st_mtime_ns:
+            pixels = load_idx_images(row_major)
+            if len(pixels) == count:
+                return pixels
+    except (OSError, DataFormatError):
+        pass
+    try:
+        _write_idx(row_major, _image_header(count), _transposed_blocks(f, path, count))
+    except OSError:
+        pixels = np.empty((count, IMAGE_PIXELS), dtype=np.uint8)
+        starts = range(0, count, _BLOCK_IMAGES)
+        for start, block in zip(starts, _transposed_blocks(f, path, count)):
+            pixels[start : start + len(block)] = block
+        pixels.flags.writeable = False
+        return pixels
+    for stale in path.parent.glob(f".{path.name}.rowmajor-*.idx"):
+        if stale != row_major:
+            with contextlib.suppress(OSError):
+                stale.unlink()
+    return load_idx_images(row_major)
 
 
 def load_dataset(spec: DatasetSpec) -> LabeledDataset:
@@ -259,18 +333,24 @@ def load_dataset(spec: DatasetSpec) -> LabeledDataset:
 
     ``images`` holds the file's uint8 pixels as read-only, C-contiguous
     (n, 784) rows: a view of a read-only mapping of the images file, or for
-    TRANSPOSED_DATASETS a transposed copy made block by block out of that
-    mapping.  The file must not be modified in place while the split is held.
+    TRANSPOSED_DATASETS of the split's row-major file, written on the first
+    load, or an in-memory copy where that file cannot be written (see
+    ``_row_major_images``).  Both files are checked, and their counts
+    compared, before any pixel is converted.  The files must not be modified
+    in place while the split is held.
     """
-    pixels = load_idx_images(spec.images_path())
-    labels = load_idx_labels(spec.labels_path())
-    if pixels.shape[0] != labels.shape[0]:
-        raise DataConsistencyError(
-            f"{spec.name}/{spec.split}: {pixels.shape[0]} images vs "
-            f"{labels.shape[0]} labels"
-        )
-    if spec.name in TRANSPOSED_DATASETS:
-        pixels = _copy_out_transposed(pixels)
+    path = spec.images_path()
+    with open(path, "rb") as f:
+        count = _image_count(f, path)
+        transposed = spec.name in TRANSPOSED_DATASETS
+        pixels = None if transposed else _map_payload(f, path, count, IMAGE_PIXELS)
+        labels = load_idx_labels(spec.labels_path())
+        if count != labels.shape[0]:
+            raise DataConsistencyError(
+                f"{spec.name}/{spec.split}: {count} images vs {labels.shape[0]} labels"
+            )
+        if transposed:
+            pixels = _row_major_images(f, path, count)
     return LabeledDataset(
         images=pixels,
         labels=labels,

@@ -270,11 +270,12 @@ def run_experiment(
             f"train/test category counts differ: {train_dataset.num_categories} "
             f"!= {test_dataset.num_categories}"
         )
-    architecture = [
-        train_dataset.images.shape[1],
-        *config.hidden,
-        train_dataset.num_categories,
-    ]
+    width = train_dataset.images.shape[1]
+    if test_dataset.images.shape[1] != width:
+        raise RoundError(
+            f"train/test row widths differ: {width} != {test_dataset.images.shape[1]}"
+        )
+    architecture = [width, *config.hidden, train_dataset.num_categories]
     model = init_model(architecture, derive_rng(config.seed, STREAM_MODEL_INIT))
     ledger = CostLedger(config.cost)
 

@@ -1,4 +1,5 @@
 import mmap
+import os
 import re
 import struct
 import tempfile
@@ -34,6 +35,43 @@ def write_pair(root, name, split, images, labels):
     return spec
 
 
+def transposed(raw):
+    return raw.reshape(-1, 28, 28).transpose(0, 2, 1).reshape(-1, 784)
+
+
+def row_major_files(root):
+    return sorted(p.name for p in Path(root).glob(".*.rowmajor-*"))
+
+
+class DiskFull:
+    """A file whose second write (the first of the payload) fails part-way."""
+
+    def __init__(self, f):
+        self.f, self.writes = f, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            self.f.write(data[:5])
+            raise OSError(28, "No space left on device")
+        return self.f.write(data)
+
+
+def fill_disk(monkeypatch):
+    """Make every file ``datasets`` opens for writing fail in its payload."""
+    monkeypatch.setattr(
+        datasets, "open",
+        lambda path, mode="r": DiskFull(open(path, mode)) if "w" in mode else open(path, mode),
+        raising=False,
+    )
+
+
 class TestIdxRoundTrip:
     def test_images_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -59,6 +97,29 @@ class TestIdxRoundTrip:
         magic, n, rows, cols = struct.unpack(">4i", raw[:16])
         assert (magic, n, rows, cols) == (IMAGE_MAGIC, 1, 28, 28)
         assert raw[16:] == img.tobytes()
+
+    def test_strided_rows_round_trip_across_blocks(self, tmp_path, monkeypatch):
+        # Every other row of 15, in 3-row blocks: each block is made
+        # contiguous on its own, and the last one is partial.
+        monkeypatch.setattr(datasets, "_BLOCK_IMAGES", 3)
+        raw = np.random.default_rng(14).integers(0, 256, size=(15, 784), dtype=np.uint8)
+        path = tmp_path / "strided.idx"
+        write_idx_images(path, raw[::2])
+        assert load_idx_images(path).tobytes() == raw[::2].tobytes()
+
+    def test_image_write_streams_the_payload(self, tmp_path):
+        # The rows are written from their own buffer, a block at a time: no
+        # copy of the 15.68 MB payload is made.
+        pixels = np.random.default_rng(15).integers(0, 256, size=(20_000, 784), dtype=np.uint8)
+        path = tmp_path / "big.idx"
+        tracemalloc.start()
+        try:
+            write_idx_images(path, pixels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert load_idx_images(path).tobytes() == pixels.tobytes()
 
     def test_label_file_layout(self, tmp_path):
         path = tmp_path / "l.idx"
@@ -172,9 +233,9 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("name", ["mnist", "femnist47"])
     def test_load_holds_one_copy_of_the_split(self, tmp_path, name):
-        # mnist's images are a view of the file's mapping and femnist47 is
-        # copied out of it a block at a time, so the peak is at most the
-        # loaded arrays themselves, not a second copy of the pixels.
+        # mnist's images are a view of the file's mapping and femnist47's
+        # are transposed into its row-major file a block at a time, so the
+        # peak is at most the loaded arrays, not a second copy of the pixels.
         rng = np.random.default_rng(7)
         n = 20_000
         spec = write_pair(
@@ -296,32 +357,35 @@ class TestMappedLoad:
         ds = load_dataset(spec)
         assert ds.images.shape == (0, 784) and ds.labels.shape == (0,)
 
-    def test_femnist_split_holds_no_reference_to_the_mapping(self, tmp_path):
+    def test_femnist_images_are_a_read_only_view_of_the_row_major_file(self, tmp_path):
         rng = np.random.default_rng(10)
-        spec = write_pair(
-            tmp_path, "femnist47", "train",
-            rng.integers(0, 256, size=(5, 784), dtype=np.uint8),
-            rng.integers(0, 47, 5),
-        )
-        ds = load_dataset(spec)
-        # An array with no base owns its memory, so nothing keeps the mapping.
-        assert ds.images.base is None and ds.labels.base is None
-        assert not ds.images.flags.writeable
+        raw = rng.integers(0, 256, size=(5, 784), dtype=np.uint8)
+        spec = write_pair(tmp_path, "femnist47", "train", raw, rng.integers(0, 47, 5))
+        images = load_dataset(spec).images
+        source = spec.images_path().stat()
+        name = (f".femnist47-train-images.idx.rowmajor-"
+                f"{source.st_size}-{source.st_mtime_ns}-{source.st_ino}.idx")
+        assert row_major_files(tmp_path) == [name]
+        assert isinstance(images.base, mmap.mmap)
+        assert images.flags.c_contiguous and not images.flags.writeable
+        assert images.tobytes() == (tmp_path / name).read_bytes()[16:]
+        assert images.tobytes() == transposed(raw).tobytes()
 
-    @pytest.mark.parametrize("can_release", [True, False], ids=["release", "no-madvise"])
-    def test_femnist_copy_out_across_blocks_and_released_pages(
-        self, tmp_path, monkeypatch, can_release
-    ):
-        # 3-image blocks over 7 images: a partial last block, and a page
-        # released in the middle of the copy; without madvise nothing is
-        # released and the copy is the same.
-        monkeypatch.setattr(datasets, "_TRANSPOSE_BLOCK", 3)
-        monkeypatch.setattr(datasets, "_CAN_RELEASE", can_release and datasets._CAN_RELEASE)
+    @pytest.mark.parametrize("through", ["file", "memory"])
+    def test_femnist_blocks_across_the_split(self, tmp_path, monkeypatch, through):
+        # 3-image blocks over 7 images, a partial last block: written to the
+        # row-major file, or where that write fails, to an in-memory copy.
+        monkeypatch.setattr(datasets, "_BLOCK_IMAGES", 3)
         rng = np.random.default_rng(11)
         raw = rng.integers(0, 256, size=(7, 784), dtype=np.uint8)
         spec = write_pair(tmp_path, "femnist47", "train", raw, rng.integers(0, 47, 7))
-        expected = raw.reshape(-1, 28, 28).transpose(0, 2, 1).reshape(-1, 784)
-        assert load_dataset(spec).images.tobytes() == expected.tobytes()
+        if through == "memory":
+            fill_disk(monkeypatch)
+        images = load_dataset(spec).images
+        assert images.tobytes() == transposed(raw).tobytes()
+        assert isinstance(images.base, mmap.mmap) == (through == "file")
+        assert not images.flags.writeable
+        assert len(row_major_files(tmp_path)) == (through == "file")
 
     def test_unmappable_file_names_the_file(self, tmp_path, monkeypatch):
         spec = write_pair(
@@ -359,31 +423,106 @@ class TestAtomicWrites:
         path = tmp_path / "split.idx"
         writer(path, old)
         before = path.read_bytes()
-
-        class DiskFull:
-            """A file whose second write (the payload) fails part-way."""
-
-            def __init__(self, f):
-                self.f, self.writes = f, 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes == 2:
-                    self.f.write(data[:5])
-                    raise OSError(28, "No space left on device")
-                return self.f.write(data)
-
-        monkeypatch.setattr(datasets, "open", lambda *a: DiskFull(open(*a)), raising=False)
+        fill_disk(monkeypatch)
         with pytest.raises(OSError, match="No space left"):
             writer(path, new)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["split.idx"]
+
+
+class TestRowMajorFile:
+    """FEMNIST-47's transposed pixels, written once per source file."""
+
+    def femnist(self, root, n=7, seed=16):
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(0, 256, size=(n, 784), dtype=np.uint8)
+        return raw, write_pair(root, "femnist47", "train", raw, rng.integers(0, 47, n))
+
+    def test_first_and_second_loads_equal_the_transposed_source(self, tmp_path):
+        raw, spec = self.femnist(tmp_path)
+        first = load_dataset(spec).images.tobytes()
+        second = load_dataset(spec).images.tobytes()
+        assert first == second == transposed(raw).tobytes()
+
+    def test_second_load_maps_without_copying(self, tmp_path):
+        raw, spec = self.femnist(tmp_path, n=20_000)
+        # A fixture written a second before the run, as one written earlier
+        # is: a row-major file written within the source's own timestamp is
+        # rebuilt (see test_file_sharing_the_source_timestamp_is_rebuilt).
+        source = spec.images_path().stat()
+        earlier = source.st_mtime_ns - 10**9
+        os.utime(spec.images_path(), ns=(earlier, earlier))
+        load_dataset(spec)
+        tracemalloc.start()
+        try:
+            ds = load_dataset(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.labels.nbytes + 64 * 1024
+        assert isinstance(ds.images.base, mmap.mmap)
+        assert ds.images.tobytes() == transposed(raw).tobytes()
+
+    def test_same_size_rewrites_are_reloaded(self, tmp_path):
+        # Back-to-back rewrites of the same size can reuse the replaced
+        # file's inode; each reload must still see the new pixels.
+        _, spec = self.femnist(tmp_path)
+        load_dataset(spec)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            raw = rng.integers(0, 256, size=(7, 784), dtype=np.uint8)
+            write_idx_images(spec.images_path(), raw)
+            assert load_dataset(spec).images.tobytes() == transposed(raw).tobytes()
+        assert len(row_major_files(tmp_path)) == 1
+
+    def test_file_sharing_the_source_timestamp_is_rebuilt(self, tmp_path):
+        # What a rewrite that reused the inode within one coarse timestamp
+        # tick would leave: a row-major file of the right name and size
+        # holding other pixels, with the source's mtime.
+        raw, spec = self.femnist(tmp_path)
+        load_dataset(spec)
+        (name,) = row_major_files(tmp_path)
+        write_idx_images(tmp_path / name, np.zeros((7, 784), np.uint8))
+        source = spec.images_path().stat()
+        os.utime(tmp_path / name, ns=(source.st_atime_ns, source.st_mtime_ns))
+        assert load_dataset(spec).images.tobytes() == transposed(raw).tobytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "fewer-images"])
+    def test_damaged_file_is_rebuilt(self, tmp_path, damage):
+        raw, spec = self.femnist(tmp_path)
+        load_dataset(spec)
+        (name,) = row_major_files(tmp_path)
+        full = (tmp_path / name).read_bytes()
+        if damage == "truncated":
+            (tmp_path / name).write_bytes(full[:100])
+        else:
+            write_idx_images(tmp_path / name, np.zeros((6, 784), np.uint8))
+        assert load_dataset(spec).images.tobytes() == transposed(raw).tobytes()
+        assert (tmp_path / name).read_bytes() == full
+
+    def test_unwritable_root_loads_from_memory_and_leaves_no_file(self, tmp_path, monkeypatch):
+        raw, spec = self.femnist(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        fill_disk(monkeypatch)
+        for _ in range(2):
+            images = load_dataset(spec).images
+            assert images.tobytes() == transposed(raw).tobytes()
+            assert images.base is None and not images.flags.writeable
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_pairing_is_checked_before_converting(self, tmp_path):
+        _, spec = self.femnist(tmp_path)
+        write_idx_labels(spec.labels_path(), np.zeros(6, np.uint8))
+        with pytest.raises(DataConsistencyError, match="7 images vs 6 labels"):
+            load_dataset(spec)
+        assert row_major_files(tmp_path) == []
+
+    def test_mnist_has_no_row_major_file(self, tmp_path):
+        spec = write_pair(
+            tmp_path, "mnist", "train", np.zeros((3, 784), np.uint8), np.zeros(3, np.uint8)
+        )
+        load_dataset(spec)
+        assert row_major_files(tmp_path) == []
 
 
 def test_labeled_dataset_guards():
@@ -448,3 +587,27 @@ def test_arbitrary_idx_bytes_load_or_name_the_file_property(data, loader):
             assert str(exc).startswith(f"{path}:")
         else:
             assert loaded.shape[0] == struct.unpack(">i", data[4:8])[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=64) | _IDX_IMAGES)
+def test_arbitrary_femnist_images_load_or_name_the_source_property(data):
+    # The labels agree with any count a valid file can hold, so a refusal
+    # can only be the images file's, and must come before any conversion.
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = DatasetSpec("femnist47", "train", tmp)
+        spec.images_path().write_bytes(data)
+        count = struct.unpack(">i", data[4:8])[0] if len(data) >= 8 else 0
+        write_idx_labels(spec.labels_path(), np.zeros(min(max(count, 0), 3), np.uint8))
+        try:
+            ds = load_dataset(spec)
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"{spec.images_path()}:")
+            assert sorted(p.name for p in Path(tmp).iterdir()) == sorted(
+                [spec.images_path().name, spec.labels_path().name]
+            )
+        else:
+            assert ds.num_samples == count
+            assert ds.images.tobytes() == transposed(
+                np.frombuffer(data[16:], np.uint8).reshape(-1, 784)
+            ).tobytes()

@@ -16,6 +16,7 @@ from catfed import (
     init_model,
     run_experiment,
 )
+from catfed import federation
 from catfed.federation import _fedavg_k, aggregate_weighted, run_round
 from catfed.network import COHORT, ModelParams, TrainConfig, client_update
 from catfed.seeding import STREAM_CLIENT_UPDATE, derive_rng
@@ -255,6 +256,15 @@ class TestRunExperiment:
         other = make_dataset(num_classes=4, num_samples=80, num_pixels=12, seed=9)
         with pytest.raises(RoundError, match="category counts"):
             run_experiment(cfg, train, part, other)
+
+    def test_row_width_mismatch_rejected_before_round_1(self, monkeypatch):
+        cfg, train, part, _ = small_setup()
+        other = make_dataset(num_classes=10, num_samples=80, num_pixels=13, seed=9)
+        rounds = []
+        monkeypatch.setattr(federation, "run_round", lambda *a: rounds.append(a))
+        with pytest.raises(RoundError, match=r"train/test row widths differ: 12 != 13"):
+            run_experiment(cfg, train, part, other)
+        assert rounds == []
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
