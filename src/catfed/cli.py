@@ -178,6 +178,8 @@ def _require_category_strategy(config: RunConfig, command: str) -> None:
 def cmd_sweep_n(config_path: str, n_values: list[int]) -> int:
     config = load_config(config_path)
     _require_category_strategy(config, "sweep-n")
+    if config.limit is not None:
+        raise ValueError(f"{config_path}: limit has no effect under sweep-n (--n sets N)")
     root = resolve_data_root(config)
     train, test = _load_pair(config, root)
     # One partition and one seed shared by every N so the sweep isolates N.

@@ -4,12 +4,11 @@ The format is one ``key = value`` per line; ``#`` starts a comment and blank
 lines are skipped.  Unknown or duplicate keys, and values outside their key's
 domain, are rejected with the line number so typos fail loudly instead of
 silently running defaults or failing later.
-``parse_config(serialize_config(cfg))`` returns an equal config; a string
-value the format cannot carry is refused by ``serialize_config``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .costs import CostModel
@@ -59,14 +58,11 @@ class RunConfig:
             _check_domain(f.name, getattr(self, f.name))
 
     def distribution_spec(self) -> DistributionSpec:
-        imbalance = None
-        if self.minority_categories:
-            imbalance = (self.minority_categories, self.minority_ratio)
         return DistributionSpec(
             kind=self.distribution,
             num_clients=self.num_clients,
             samples_per_client=self.samples_per_client,
-            imbalance=imbalance,
+            imbalance=(self.minority_categories, self.minority_ratio),
             seed=self.seed,
         )
 
@@ -89,8 +85,7 @@ class RunConfig:
 
 
 def _ascii(raw: str) -> str:
-    # int() and float() also read other scripts' digits and underscores,
-    # which serialize_config would write back as different text.
+    # int() and float() also read other scripts' digits and underscores.
     if not raw.isascii() or "_" in raw:
         raise ValueError(f"not an ASCII numeral: {raw!r}")
     return raw
@@ -117,8 +112,8 @@ def _positive(value) -> bool:
 
 
 def _nonnegative(value) -> bool:
-    # Written so that NaN fails too.
-    return value >= 0
+    # Written so that NaN and infinity fail too.
+    return 0 <= value < math.inf
 
 
 # Each key's parser, its domain as a check, and the phrase an error shows for
@@ -135,14 +130,14 @@ _KEYS = {
     "limit": (_parse_optional_int, lambda v: v is None or v >= 1, ">= 1 or none"),
     "client_fraction": (_parse_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "rounds": (_parse_int, _positive, ">= 1"),
-    "learning_rate": (_parse_float, _nonnegative, ">= 0"),
+    "learning_rate": (_parse_float, _nonnegative, "a finite number >= 0"),
     "batch_size": (_parse_int, _positive, ">= 1"),
     "local_epochs": (_parse_int, _positive, ">= 1"),
     "num_clients": (_parse_int, _positive, ">= 1"),
     "samples_per_client": (_parse_int, _positive, ">= 1"),
     "seed": (_parse_int, _nonnegative, ">= 0"),
-    "client_cost": (_parse_float, _nonnegative, ">= 0"),
-    "server_cost": (_parse_float, _nonnegative, ">= 0"),
+    "client_cost": (_parse_float, _nonnegative, "a finite number >= 0"),
+    "server_cost": (_parse_float, _nonnegative, "a finite number >= 0"),
     "minority_categories": (_parse_int, _nonnegative, ">= 0"),
     "minority_ratio": (_parse_float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "seeds": (_parse_int, _positive, ">= 1"),
@@ -193,40 +188,3 @@ def load_config(path) -> RunConfig:
         return parse_config(text)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _unwritable(key: str, value: str) -> str | None:
-    """Why parse_config would not read ``value`` back for ``key``, if it would not."""
-    if "#" in value:
-        return "'#' starts a comment"
-    if "".join(value.splitlines()) != value:
-        return "a line break ends the line"
-    if value != value.strip():
-        return "outer whitespace is stripped"
-    parsed = _KEYS[key][0](value)
-    if parsed != value:
-        return f"it reads back as {parsed!r}"
-    return None
-
-
-def serialize_config(config: RunConfig) -> str:
-    """The config as ``key = value`` lines that parse_config reads back equal.
-
-    Raises ConfigError, naming the key, for a string value it cannot write.
-    """
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        if value is None:
-            rendered = "none"
-        elif isinstance(value, float):
-            rendered = repr(value)
-        elif isinstance(value, str):
-            reason = _unwritable(f.name, value)
-            if reason:
-                raise ConfigError(f"{f.name}: cannot write {value!r}: {reason}")
-            rendered = value
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"

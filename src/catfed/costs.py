@@ -14,6 +14,7 @@ counted every round they participate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,9 +27,9 @@ class CostModel:
     server_cost: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.client_cost >= 0 and self.server_cost >= 0):
+        if not (0 <= self.client_cost < math.inf and 0 <= self.server_cost < math.inf):
             raise ValueError(
-                f"costs must be nonnegative, got client={self.client_cost} "
+                f"costs must be finite and nonnegative, got client={self.client_cost} "
                 f"server={self.server_cost}"
             )
 

@@ -36,6 +36,7 @@ mapping on the old file's bytes.
 from __future__ import annotations
 
 import contextlib
+import glob
 import mmap
 import os
 import struct
@@ -218,6 +219,17 @@ def load_idx_labels(path) -> np.ndarray:
         return _map_payload(f, path, n, 1).reshape(n).astype(np.int64)
 
 
+def _gone(pid: int) -> bool:
+    """Whether no process ``pid`` runs; signal 0 checks and sends nothing."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):
+        pass  # another user's process, or a number no pid can be
+    return False
+
+
 def _write_idx(path, header: bytes, blocks: Iterable[np.ndarray]) -> None:
     """Write ``header`` and then each C-contiguous array of ``blocks``, from
     the array's own buffer, to a temporary sibling of ``path``; then rename it
@@ -225,9 +237,16 @@ def _write_idx(path, header: bytes, blocks: Iterable[np.ndarray]) -> None:
 
     A loaded split maps its file, so rewriting the file in place would change
     or truncate the pages under it; a rename leaves the old bytes to whoever
-    maps them.  If the write fails, ``path`` is left as it was.
+    maps them.  If the write fails, ``path`` is left as it was.  Temporaries
+    of ``path`` left by writers that no longer run (killed part-way) are
+    deleted first.
     """
     path = Path(path)
+    for stale in path.parent.glob(f".{glob.escape(path.name)}.*.tmp"):
+        pid = stale.name[len(path.name) + 2 : -len(".tmp")]
+        if pid.isascii() and pid.isdigit() and _gone(int(pid)):
+            with contextlib.suppress(OSError):
+                stale.unlink()
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "wb") as f:

@@ -19,7 +19,7 @@ sample counts before training, and each update is folded into one running
 sum as its client finishes, in ascending client id.  A round holds the
 global model, that sum and one cohort's private models, however many
 clients it selects, and the result is the same bits as
-``aggregate_weighted`` over the list.
+``sum(c * p ...)`` over the list of updates.
 
 Everything is driven by one experiment seed.  Model init, the random
 baseline's draws, and each client's shuffling use independent streams derived
@@ -161,27 +161,6 @@ def _coefficients(weights) -> np.ndarray:
     if np.any(weights <= 0):
         raise RoundError("aggregation weights must be positive")
     return weights / weights.sum()
-
-
-def aggregate_weighted(
-    params: list[ModelParams], weights: list[float] | np.ndarray
-) -> ModelParams:
-    """Elementwise average of parameter sets, weighted and normalized.
-
-    The library form of the average ``run_round`` folds as clients return.
-    """
-    if not params:
-        raise RoundError("nothing to aggregate")
-    if np.shape(weights) != (len(params),):
-        raise RoundError(f"{len(params)} updates but {np.size(weights)} weights")
-    arch = params[0].architecture
-    for p in params[1:]:
-        if p.architecture != arch:
-            raise RoundError(f"architecture mismatch: {p.architecture} != {arch}")
-    average = _RunningAverage()
-    for coef, p in zip(_coefficients(weights), params):
-        average.add(coef, p.weights, p.biases)
-    return average.result()
 
 
 def _fedavg_k(fraction: float, num_clients: int) -> int:

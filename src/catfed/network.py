@@ -42,8 +42,10 @@ class TrainConfig:
     local_epochs: int = 1
 
     def __post_init__(self) -> None:
-        if not self.learning_rate >= 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be a finite number >= 0, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.local_epochs < 1:
@@ -72,10 +74,6 @@ class ModelParams:
                 raise ValueError(f"layer {l}: non-finite parameters")
             w.flags.writeable = False
             b.flags.writeable = False
-
-    @property
-    def architecture(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     @property
     def num_classes(self) -> int:
@@ -294,25 +292,6 @@ def _relu_gate(delta: np.ndarray, a: np.ndarray, inactive: np.ndarray) -> None:
     np.copyto(delta, 0.0, where=inactive)
 
 
-def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Class probabilities for each row of ``batch``; rows sum to 1.
-
-    A uint8 batch is read as pixel / 255, anything else as float64.
-    """
-    batch = _check_rows(model, batch)
-    ws = _Workspace(model.weights, batch.shape[0])
-    return ws.forward(model.weights, model.biases, ws.convert(batch))
-
-
-def per_sample_losses(model: ModelParams, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Cross-entropy of each sample against its label."""
-    batch = _check_rows(model, batch)
-    labels = _check_labels(model, labels, batch.shape[0])
-    ws = _Workspace(model.weights, batch.shape[0])
-    ws.forward(model.weights, model.biases, ws.convert(batch))
-    return ws.cross_entropy(labels, np.empty(batch.shape[0]))
-
-
 def loss_and_grad(
     model: ModelParams, batch: np.ndarray, labels: np.ndarray
 ) -> tuple[float, ModelParams]:
@@ -329,13 +308,6 @@ def loss_and_grad(
     losses, delta = ws.backward(weights, x, labels[None])
     grad_w = (ws.grad_layer0(delta, x, 0), *(g[0] for g in ws.grad_w))
     return float(losses[0]), ModelParams(weights=grad_w, biases=tuple(g[0] for g in ws.grad_b))
-
-
-def sgd_step(model: ModelParams, grad: ModelParams, learning_rate: float) -> ModelParams:
-    return ModelParams(
-        weights=tuple(w - learning_rate * g for w, g in zip(model.weights, grad.weights)),
-        biases=tuple(b - learning_rate * g for b, g in zip(model.biases, grad.biases)),
-    )
 
 
 class Diverged(FloatingPointError):

@@ -34,9 +34,10 @@ of clients holding it, is the column sum of the masks.
 A spec's ``imbalance = (k, r)`` is the global class imbalance: before any of
 that, the k lowest category ids are shrunk to a fraction r of their rows,
 drawn from the spec seed's imbalance stream, and only the kept rows are
-partitioned.  Assignments always index the split they were generated from,
-so an imbalanced partition needs no copy of the data, and its export reloads
-against the real labels.
+partitioned.  ``(0, r)`` shrinks nothing, so the spec stores it as None, the
+one spelling of no imbalance.  Assignments always index the split they were
+generated from, so an imbalanced partition needs no copy of the data, and its
+export reloads against the real labels.
 """
 
 from __future__ import annotations
@@ -99,8 +100,10 @@ class DistributionSpec:
             minority_count, ratio = self.imbalance
             if minority_count < 0:
                 raise ValueError(f"minority count must be >= 0, got {minority_count}")
-            if minority_count and not 0.0 < ratio < 1.0:
+            if not 0.0 < ratio < 1.0:
                 raise ValueError(f"imbalance ratio must be in (0, 1), got {ratio}")
+            if minority_count == 0:
+                object.__setattr__(self, "imbalance", None)
 
 
 @dataclass(frozen=True)
@@ -425,7 +428,7 @@ def _kept_rows(
     Each of the ``k`` lowest category ids keeps ``round(r * size)`` of its
     rows, the dropped ones drawn from the imbalance stream of ``spec.seed``.
     """
-    if spec.imbalance is None or spec.imbalance[0] == 0:
+    if spec.imbalance is None:
         return None
     minority_count, ratio = spec.imbalance
     if minority_count >= num_categories:

@@ -165,6 +165,13 @@ class TestSweepN:
         assert main(["sweep-n", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_sweep_refuses_a_written_limit(self, tmp_path, data_root, capsys):
+        cfg = write_config(tmp_path, data_root, strategy="cat_cost", limit=3)
+        assert main(["sweep-n", str(cfg), "--n", "1-2"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: limit has no effect under sweep-n (--n sets N)\n"
+        )
+
     def test_parse_n_values(self):
         assert _parse_n_values("1,3,5-7") == [1, 3, 5, 6, 7]
         assert _parse_n_values("4") == [4]

@@ -1,4 +1,4 @@
-"""Config file parsing, validation, and round-trip serialization."""
+"""Config file parsing and validation."""
 
 import dataclasses
 import tempfile
@@ -13,7 +13,6 @@ from catfed.config import (
     RunConfig,
     load_config,
     parse_config,
-    serialize_config,
 )
 
 
@@ -26,14 +25,19 @@ class TestParsing:
         assert parse_config(text).rounds == 7
 
     def test_values_parsed_to_field_types(self):
+        # Floats as repr writes them: shortest round-trip digits and exponents.
         cfg = parse_config(
             "dataset = femnist47\n"
-            "client_fraction = 0.25\n"
+            "client_fraction = 0.30000000000000004\n"
+            "learning_rate = 1e-05\n"
+            "server_cost = 1.5\n"
             "limit = 12\n"
             "data_root = /tmp/data\n"
         )
         assert cfg.dataset == "femnist47"
-        assert cfg.client_fraction == 0.25
+        assert cfg.client_fraction == 0.1 + 0.2
+        assert cfg.learning_rate == 1e-5
+        assert cfg.server_cost == 1.5
         assert cfg.limit == 12
         assert cfg.data_root == "/tmp/data"
 
@@ -102,15 +106,18 @@ class TestValidation:
             ("client_fraction", "1.5", r"in \(0, 1\]"),
             ("client_fraction", "nan", r"in \(0, 1\]"),
             ("rounds", "0", ">= 1"),
-            ("learning_rate", "-0.001", ">= 0"),
-            ("learning_rate", "nan", ">= 0"),
+            ("learning_rate", "-0.001", "a finite number >= 0"),
+            ("learning_rate", "nan", "a finite number >= 0"),
+            ("learning_rate", "inf", "a finite number >= 0"),
             ("batch_size", "0", ">= 1"),
             ("local_epochs", "0", ">= 1"),
             ("num_clients", "0", ">= 1"),
             ("samples_per_client", "-5", ">= 1"),
             ("seed", "-1", ">= 0"),
-            ("client_cost", "-1.0", ">= 0"),
-            ("server_cost", "-0.5", ">= 0"),
+            ("client_cost", "-1.0", "a finite number >= 0"),
+            ("client_cost", "inf", "a finite number >= 0"),
+            ("server_cost", "-0.5", "a finite number >= 0"),
+            ("server_cost", "inf", "a finite number >= 0"),
             ("minority_categories", "-1", ">= 0"),
             ("minority_ratio", "0.0", r"in \(0, 1\)"),
             ("minority_ratio", "1.0", r"in \(0, 1\)"),
@@ -134,6 +141,7 @@ class TestValidation:
         [
             {"rounds": 0}, {"batch_size": 0}, {"local_epochs": -1}, {"client_cost": -2.0},
             {"client_fraction": 2.0}, {"limit": 0}, {"minority_ratio": 1.5}, {"seed": -3},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_direct_construction_checks_the_same_domains(self, overrides):
@@ -203,96 +211,6 @@ class TestDerivedConfigs:
         assert set(ARCHITECTURES) == set(DATASET_CLASSES)
 
 
-class TestRoundTrip:
-    def test_serialize_renders_specials(self):
-        text = serialize_config(RunConfig())
-        assert "limit = none" in text
-        assert "data_root = none" in text
-        assert "client_fraction = 0.1" in text
-
-    def test_default_round_trip(self):
-        assert parse_config(serialize_config(RunConfig())) == RunConfig()
-
-    @given(
-        dataset=st.sampled_from(sorted(ARCHITECTURES)),
-        mode=st.sampled_from(["A", "B"]),
-        limit=st.one_of(st.none(), st.integers(1, 100)),
-        client_fraction=st.floats(0.01, 1.0, allow_nan=False),
-        learning_rate=st.floats(1e-5, 1.0, allow_nan=False),
-        rounds=st.integers(1, 500),
-        seeds=st.integers(1, 5),
-        output=st.sampled_from(["results.csv", "out/run.csv"]),
-    )
-    def test_round_trip_is_identity(
-        self,
-        dataset,
-        mode,
-        limit,
-        client_fraction,
-        learning_rate,
-        rounds,
-        seeds,
-        output,
-    ):
-        cfg = RunConfig(
-            dataset=dataset,
-            mode=mode,
-            limit=limit,
-            client_fraction=client_fraction,
-            learning_rate=learning_rate,
-            rounds=rounds,
-            seeds=seeds,
-            output=output,
-        )
-        assert parse_config(serialize_config(cfg)) == cfg
-
-    def test_round_trip_after_replace(self):
-        cfg = dataclasses.replace(
-            RunConfig(), strategy="fedavg_random", server_cost=1.5, data_root="/d"
-        )
-        assert parse_config(serialize_config(cfg)) == cfg
-
-    @pytest.mark.parametrize(
-        "key, value, reason",
-        [
-            ("output", "runs/a#b.csv", "'#' starts a comment"),
-            ("output", " padded.csv", "outer whitespace is stripped"),
-            ("output", "a\nb.csv", "a line break ends the line"),
-            ("data_root", "data\r", "a line break ends the line"),
-            ("data_root", "None", "it reads back as None"),
-            ("data_root", "nOnE", "it reads back as None"),
-        ],
-        ids=["hash", "padded", "newline", "carriage-return", "none", "none-mixed-case"],
-    )
-    def test_unwritable_string_names_its_key(self, key, value, reason):
-        cfg = RunConfig(**{key: value})
-        with pytest.raises(ConfigError) as info:
-            serialize_config(cfg)
-        assert str(info.value) == f"{key}: cannot write {value!r}: {reason}"
-
-
-# Text built to trip the format: comment and key/value markers, every kind of
-# line break str.splitlines knows, whitespace, and spellings of none.
-_ADVERSARIAL_TEXT = st.text(
-    alphabet=st.sampled_from(list("#= \t\n\r\x0b\x0c\x1c\x85\u2028\xa0aNnoe/.")),
-    max_size=12,
-) | st.sampled_from(["none", "None", " none", "NONE", "none#", "a = b"])
-
-
-@given(output=_ADVERSARIAL_TEXT, data_root=st.none() | _ADVERSARIAL_TEXT)
-def test_serialized_config_parses_back_equal_property(output, data_root):
-    try:
-        cfg = RunConfig(output=output, data_root=data_root)
-    except ConfigError:
-        return  # out of domain (empty), so there is nothing to serialize
-    try:
-        text = serialize_config(cfg)
-    except ConfigError as exc:
-        assert str(exc).startswith(("output: cannot write", "data_root: cannot write"))
-        return
-    assert parse_config(text) == cfg
-
-
 # An out-of-domain value for each numeric key.
 _BAD_VALUES = {
     "rounds": st.integers(max_value=0),
@@ -304,9 +222,9 @@ _BAD_VALUES = {
     "limit": st.integers(max_value=0),
     "seed": st.integers(max_value=-1),
     "minority_categories": st.integers(max_value=-1),
-    "learning_rate": st.floats(max_value=-1e-300) | st.just(float("nan")),
-    "client_cost": st.floats(max_value=-1e-300) | st.just(float("nan")),
-    "server_cost": st.floats(max_value=-1e-300) | st.just(float("nan")),
+    "learning_rate": st.floats(max_value=-1e-300) | st.sampled_from([float("nan"), float("inf")]),
+    "client_cost": st.floats(max_value=-1e-300) | st.sampled_from([float("nan"), float("inf")]),
+    "server_cost": st.floats(max_value=-1e-300) | st.sampled_from([float("nan"), float("inf")]),
     "client_fraction": st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
     | st.just(float("nan")),
     "minority_ratio": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(float("nan")),

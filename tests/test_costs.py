@@ -42,6 +42,9 @@ class TestCostModel:
             CostModel(client_cost=-1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             CostModel(client_cost=float("nan"))
+        for bad in ({"client_cost": float("inf")}, {"server_cost": float("inf")}):
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                CostModel(**bad)
         with pytest.raises(ValueError):
             round_cost(CostModel(), -2)
 

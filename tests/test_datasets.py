@@ -2,6 +2,8 @@ import mmap
 import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -428,6 +430,18 @@ class TestAtomicWrites:
             writer(path, new)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["split.idx"]
+
+    def test_a_dead_writers_temporary_is_deleted_and_a_live_ones_kept(self, tmp_path):
+        # A writer killed part-way leaves its temporary behind for good
+        # unless a later write of the same file deletes it.
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()  # reaped, so no process has its pid
+        dead = tmp_path / f".split.idx.{child.pid}.tmp"
+        live = tmp_path / f".split.idx.{os.getppid()}.tmp"
+        for temporary in (dead, live):
+            temporary.write_bytes(b"partial")
+        write_idx_labels(tmp_path / "split.idx", np.zeros(3, np.uint8))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([live.name, "split.idx"])
 
 
 class TestRowMajorFile:

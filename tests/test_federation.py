@@ -17,7 +17,7 @@ from catfed import (
     run_experiment,
 )
 from catfed import federation
-from catfed.federation import _fedavg_k, aggregate_weighted, run_round
+from catfed.federation import _coefficients, _fedavg_k, _RunningAverage, run_round
 from catfed.network import COHORT, ModelParams, TrainConfig, client_update
 from catfed.seeding import STREAM_CLIENT_UPDATE, derive_rng
 from catfed.selection import CategoryMask
@@ -35,11 +35,19 @@ def small_setup(strategy="cat_performance", kind="D1", **overrides):
     return config, train, part, test
 
 
+def fold(models, coefs):
+    """``models`` folded through ``_RunningAverage`` with ``coefs``."""
+    average = _RunningAverage()
+    for coef, m in zip(coefs, models):
+        average.add(coef, m.weights, m.biases)
+    return average.result()
+
+
 class TestAggregation:
     def test_weighted_mean_hand_check(self):
         a = ModelParams(weights=(np.full((2, 2), 1.0),), biases=(np.zeros(2),))
         b = ModelParams(weights=(np.full((2, 2), 4.0),), biases=(np.ones(2),))
-        merged = aggregate_weighted([a, b], [1.0, 2.0])
+        merged = fold([a, b], _coefficients([1.0, 2.0]))
         assert np.allclose(merged.weights[0], 3.0)
         assert np.allclose(merged.biases[0], 2.0 / 3.0)
 
@@ -49,25 +57,14 @@ class TestAggregation:
             ModelParams(weights=(rng.standard_normal((3, 2)),), biases=(rng.standard_normal(3),))
             for _ in range(4)
         ]
-        merged = aggregate_weighted(models, [2.0] * 4)
+        merged = fold(models, _coefficients([2.0] * 4))
         stacked = np.mean([m.weights[0] for m in models], axis=0)
         assert np.allclose(merged.weights[0], stacked)
 
-    def test_mismatched_architectures_rejected(self):
-        a = ModelParams(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
-        b = ModelParams(weights=(np.zeros((3, 2)),), biases=(np.zeros(3),))
-        with pytest.raises(RoundError, match="architecture"):
-            aggregate_weighted([a, b], [1.0, 1.0])
-
     def test_bad_weights_rejected(self):
-        a = ModelParams(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
-        with pytest.raises(RoundError):
-            aggregate_weighted([a], [0.0])
-        with pytest.raises(RoundError):
-            aggregate_weighted([a], [1.0, 1.0])
-        with pytest.raises(RoundError):
-            aggregate_weighted([], [])
-
+        for bad in ([0.0], [3.0, -1.0]):
+            with pytest.raises(RoundError, match="aggregation weights must be positive"):
+                _coefficients(bad)
 
     def test_equals_summed_products_bitwise(self):
         # The fold rounds as sum(c * p for ...) over the whole list does.
@@ -78,7 +75,7 @@ class TestAggregation:
         ]
         weights = np.array([60.0, 7.0, 600.0, 33.0, 1.0])
         coef = weights / weights.sum()
-        merged = aggregate_weighted(models, weights)
+        merged = fold(models, coef)
         want_w = sum(c * m.weights[0] for c, m in zip(coef, models))
         want_b = sum(c * m.biases[0] for c, m in zip(coef, models))
         assert merged.weights[0].tobytes() == want_w.tobytes()
@@ -107,7 +104,7 @@ def round_inputs(sizes, seed=0):
 
 
 class TestStreamedRound:
-    def test_round_equals_aggregate_weighted_of_the_updates_bitwise(self):
+    def test_round_equals_summed_products_of_the_updates_bitwise(self):
         sizes = [37, 5, 64, 20, 11, 50]
         train, test, part = round_inputs(sizes)
         config = ExperimentConfig(strategy="fedavg_random", client_fraction=1.0, seed=4)
@@ -123,13 +120,12 @@ class TestStreamedRound:
             )
             for j, idx in enumerate(part.assignments)
         ]
-        want = aggregate_weighted(updates, [float(n) for n in sizes])
-        for got, expected in zip(
-            new_model.weights + new_model.biases, want.weights + want.biases
-        ):
-            assert got.tobytes() == expected.tobytes()
+        coefs = np.array(sizes, dtype=np.float64) / sum(sizes)
+        for l, got in enumerate(new_model.weights + new_model.biases):
+            want = sum(c * (u.weights + u.biases)[l] for c, u in zip(coefs, updates))
+            assert got.tobytes() == want.tobytes()
 
-    def test_cohort_round_equals_client_updates_and_aggregate_weighted_bitwise(self):
+    def test_cohort_round_equals_summed_products_of_client_updates_bitwise(self):
         # Full cohorts, a cohort cut by COHORT, a size change and a last
         # cohort of one: every update is the one client_update gives alone.
         sizes = [20] * (COHORT + 1) + [7, 7, 20]
@@ -147,11 +143,10 @@ class TestStreamedRound:
             )
             for j, idx in enumerate(part.assignments)
         ]
-        want = aggregate_weighted(updates, [float(n) for n in sizes])
-        for got, expected in zip(
-            new_model.weights + new_model.biases, want.weights + want.biases
-        ):
-            assert got.tobytes() == expected.tobytes()
+        coefs = np.array(sizes, dtype=np.float64) / sum(sizes)
+        for l, got in enumerate(new_model.weights + new_model.biases):
+            want = sum(c * (u.weights + u.biases)[l] for c, u in zip(coefs, updates))
+            assert got.tobytes() == want.tobytes()
 
     def test_memory_does_not_grow_with_selected_clients(self):
         # Each update is folded in as its client returns: a round that

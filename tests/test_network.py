@@ -17,9 +17,6 @@ from catfed.network import (
     _relu_gate,
     _Workspace,
     client_update,
-    forward,
-    per_sample_losses,
-    sgd_step,
     train_clients,
 )
 
@@ -115,7 +112,7 @@ class TestInit:
             assert np.all(np.abs(w) <= math.sqrt(6.0 / fan_in))
         for b in model.biases:
             assert np.all(b == 0.0)
-        assert model.architecture == [5, 8, 3]
+        assert [w.shape for w in model.weights] == [(8, 5), (3, 8)]
         assert model.num_classes == 3
 
     def test_deterministic_given_stream(self):
@@ -136,23 +133,16 @@ class TestInit:
 
 
 class TestForward:
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        model = init_model([6, 5, 4], rng)
-        probs = forward(model, rng.standard_normal((20, 6)))
-        assert probs.shape == (20, 4)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
-        assert np.all(probs >= 0)
-
     def test_hand_computed_two_layer(self):
         # x=[1,-2] -> ReLU gives [1,0]; output logits [1.5,-1.5].
         model = ModelParams(
             weights=(np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]])),
             biases=(np.zeros(2), np.array([0.5, -0.5])),
         )
-        probs = forward(model, np.array([[1.0, -2.0]]))
         expected_p0 = math.exp(1.5) / (math.exp(1.5) + math.exp(-1.5))
-        assert probs[0, 0] == pytest.approx(expected_p0, rel=1e-12)
+        report = evaluate(model, np.array([[1.0, -2.0]]), np.array([0]))
+        assert report.accuracy == 1.0
+        assert report.total_loss == pytest.approx(-math.log(expected_p0), rel=1e-12)
 
         loss, _ = loss_and_grad(model, np.array([[1.0, -2.0]]), np.array([0]))
         assert loss == pytest.approx(-math.log(expected_p0), rel=1e-12)
@@ -162,10 +152,12 @@ class TestForward:
             weights=(np.array([[1000.0], [-1000.0]]),),
             biases=(np.zeros(2),),
         )
-        probs = forward(model, np.array([[1.0], [-1.0]]))
-        assert np.isfinite(probs).all()
-        losses = per_sample_losses(model, np.array([[1.0]]), np.array([1]))
-        assert np.isfinite(losses).all()
+        x = np.array([[1.0], [-1.0]])
+        report = evaluate(model, x, np.array([1, 1]))
+        assert math.isfinite(report.total_loss) and report.accuracy == 0.5
+        loss, grad = loss_and_grad(model, x, np.array([1, 1]))
+        assert math.isfinite(loss)
+        assert all(np.isfinite(g).all() for g in grad.weights + grad.biases)
 
 
 class TestLossAndGrad:
@@ -216,17 +208,11 @@ class TestLossAndGrad:
 
 class TestSgdAndClientUpdate:
     def test_nan_learning_rate_rejected(self):
-        with pytest.raises(ValueError, match="learning_rate must be >= 0, got nan"):
-            TrainConfig(learning_rate=float("nan"))
-
-    def test_sgd_step_moves_against_gradient(self):
-        model = init_model([3, 2], np.random.default_rng(1))
-        grad = ModelParams(
-            weights=(np.ones((2, 3)),), biases=(np.full(2, 2.0),)
-        )
-        stepped = sgd_step(model, grad, 0.1)
-        assert np.allclose(stepped.weights[0], model.weights[0] - 0.1)
-        assert np.allclose(stepped.biases[0], model.biases[0] - 0.2)
+        for bad in ("nan", "inf"):
+            with pytest.raises(
+                ValueError, match=f"learning_rate must be a finite number >= 0, got {bad}"
+            ):
+                TrainConfig(learning_rate=float(bad))
 
     def test_client_update_matches_manual_loop(self):
         # A short last batch over two epochs, batches that divide the rows,
@@ -244,7 +230,6 @@ class TestSgdAndClientUpdate:
 
             got = client_update(model, x, y, cfg, np.random.default_rng(77))
 
-            manual = model
             reference = [w.copy() for w in model.weights], [b.copy() for b in model.biases]
             xf = x / 255.0 if pixels else x
             loop_rng = np.random.default_rng(77)
@@ -252,20 +237,14 @@ class TestSgdAndClientUpdate:
                 order = loop_rng.permutation(rows)
                 for start in range(0, rows, cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
-                    _, g = loss_and_grad(manual, x[idx], y[idx])
-                    manual = sgd_step(manual, g, cfg.learning_rate)
                     _, gw, gb = reference_loss_and_grad(*reference, xf[idx], y[idx])
                     reference = (
                         [w - cfg.learning_rate * g for w, g in zip(reference[0], gw)],
                         [b - cfg.learning_rate * g for b, g in zip(reference[1], gb)],
                     )
 
-            for a, b, c in zip(
-                got.weights + got.biases,
-                manual.weights + manual.biases,
-                reference[0] + reference[1],
-            ):
-                assert np.array_equal(a, b) and a.tobytes() == c.tobytes()
+            for a, b in zip(got.weights + got.biases, reference[0] + reference[1]):
+                assert a.tobytes() == b.tobytes()
 
     def test_input_model_untouched(self):
         rng = np.random.default_rng(2)
@@ -337,26 +316,6 @@ class TestDivergence:
 
 
 class TestEvaluate:
-    def test_equals_per_sample_losses_and_forward_argmax_exactly(self):
-        rng = np.random.default_rng(9)
-        model = init_model([6, 7, 5], rng)
-        x = rng.standard_normal((50, 6))
-        y = rng.integers(0, 4, 50)  # category 4 absent
-        report = evaluate(model, x, y)
-
-        losses = per_sample_losses(model, x, y)
-        predictions = np.argmax(forward(model, x), axis=1)
-        assert report.accuracy == float(np.mean(predictions == y))
-        expected = {
-            c: (float(losses[y == c].sum()), int((y == c).sum())) for c in range(4)
-        }
-        assert report.per_category_loss == expected
-        summed = 0.0
-        for c in range(4):
-            summed += expected[c][0]
-        assert report.summed_loss == summed
-        assert report.total_loss == summed / 50
-
     # Under one chunk, exactly one, one row past it, and a ragged last chunk.
     @pytest.mark.parametrize(
         "rows", [1, EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS, EVAL_CHUNK_ROWS + 1, 1100]
@@ -369,7 +328,6 @@ class TestEvaluate:
         report = evaluate(model, x, y)
 
         probs = reference_activations(model.weights, model.biases, x)[-1]
-        assert forward(model, x).tobytes() == probs.tobytes()
         losses = reference_cross_entropy(probs, y)
         predictions = np.argmax(probs, axis=1)
         assert report.accuracy == float(np.mean(predictions == y))
@@ -574,10 +532,6 @@ class TestUint8Rows:
     def model(self):
         return init_model([20, 8, 5], np.random.default_rng(13))
 
-    def test_forward(self, model, pixels):
-        x, _ = pixels
-        assert np.array_equal(forward(model, x), forward(model, x / 255.0))
-
     def test_evaluate(self, model, pixels):
         x, y = pixels
         assert evaluate(model, x, y) == evaluate(model, x / 255.0, y)
@@ -606,11 +560,13 @@ def test_forward_and_loss_and_grad_match_plain_expressions_bitwise():
     for x in (rng.standard_normal((13, 9)), rng.integers(0, 256, (13, 9), dtype=np.uint8)):
         y = rng.integers(0, 4, 13)
         xf = x / 255.0 if x.dtype == np.uint8 else x
-        activations = reference_activations(model.weights, model.biases, xf)
-        assert forward(model, x).tobytes() == activations[-1].tobytes()
-        assert per_sample_losses(model, x, y).tobytes() == (
-            reference_cross_entropy(activations[-1], y).tobytes()
-        )
+        probs = reference_activations(model.weights, model.biases, xf)[-1]
+        report = evaluate(model, x, y)
+        assert report.accuracy == float(np.mean(np.argmax(probs, axis=1) == y))
+        losses = reference_cross_entropy(probs, y)
+        assert report.per_category_loss == {
+            c: (float(losses[y == c].sum()), int((y == c).sum())) for c in set(y.tolist())
+        }
         loss, grad = loss_and_grad(model, x, y)
         want_loss, want_w, want_b = reference_loss_and_grad(
             model.weights, model.biases, xf, y

@@ -162,6 +162,9 @@ class TestDeterminismAndEdges:
             DistributionSpec(kind="D1", num_clients=0)
         with pytest.raises(ValueError, match="ratio"):
             DistributionSpec(kind="D1", imbalance=(4, 1.5))
+        for ratio in (5.0, float("nan")):
+            with pytest.raises(ValueError, match="ratio"):
+                DistributionSpec(kind="D1", imbalance=(0, ratio))
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             DistributionSpec(kind="D1", seed=-1)
 
@@ -283,6 +286,7 @@ class TestImbalance:
         assert np.array_equal(majority, original_majority)
 
     def test_zero_minorities_is_identity(self, tiny_dataset):
+        assert DistributionSpec(kind="D1", imbalance=(0, 0.3)) == DistributionSpec(kind="D1")
         assert kept_rows(tiny_dataset, minority_count=0) is None
         spec = DistributionSpec(kind="D1")
         assert _kept_rows(spec, tiny_dataset.labels, 6) is None
@@ -386,6 +390,10 @@ class TestExport:
         assert lines[0].startswith("# catfed-partition kind=D1 ")
         assert "imbalance=none" in lines[0]
         assert len(lines) == 6
+        # Shrinking no category is no imbalance, and is written as such.
+        unshrunk = dataclasses.replace(spec, imbalance=(0, 0.5))
+        save_partition(generate_partition(unshrunk, ds), path)
+        assert path.read_text().splitlines() == lines
         for j in range(5):
             prefix, _, rest = lines[j + 1].partition(":")
             assert int(prefix) == j
