@@ -94,15 +94,12 @@ def cmd_run(config_path: str) -> int:
     multi = config.seeds > 1
     results: list[tuple[int, ExperimentResult]] = []
     for replicate in range(config.seeds):
-        seed = config.seed + replicate
-        spec = dataclasses.replace(config.distribution_spec(), seed=seed)
-        partition = generate_partition(spec, train)
-        result = run_experiment(
-            config.experiment_config(seed=seed), train, partition, test
-        )
-        csv_path = _seed_csv_path(output, seed, multi)
+        seeded = dataclasses.replace(config, seed=config.seed + replicate)
+        partition = generate_partition(seeded.distribution_spec(), train)
+        result = run_experiment(seeded.experiment_config(), train, partition, test)
+        csv_path = _seed_csv_path(output, seeded.seed, multi)
         csv_path.write_text(records_to_csv(result.records), encoding="utf-8")
-        results.append((seed, result))
+        results.append((seeded.seed, result))
         print(f"wrote {csv_path} ({len(result.records)} rounds)")
         _note_replacements(partition)
 

@@ -3,21 +3,21 @@
 The format is one ``key = value`` per line; ``#`` starts a comment and blank
 lines are skipped.  Unknown or duplicate keys, and values outside their key's
 domain, are rejected with the line number so typos fail loudly instead of
-silently running defaults or failing later.
+silently running defaults or failing later.  A value is checked as its line
+is read, by a RunConfig that sets only that key: the library config that takes
+the value (DistributionSpec, ExperimentConfig, TrainConfig, CostModel) checks
+its domain, and RunConfig itself checks only the four keys that none takes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from .costs import CostModel
-from .datasets import DATASET_CLASSES
-from .errors import ConfigError, read_utf8
-from .federation import STRATEGIES, ExperimentConfig
+from .errors import ConfigError, _parse_float, _parse_int, read_utf8
+from .federation import ExperimentConfig
 from .network import TrainConfig
-from .partitions import KINDS, DistributionSpec
-from .selection import Mode
+from .partitions import DistributionSpec, parse_imbalance
 
 # Hidden-layer widths per dataset; input is the pixel count and the output
 # width is the class count, so only the middle of the net varies.
@@ -48,25 +48,35 @@ class RunConfig:
     seed: int = 0
     client_cost: float = 1.0
     server_cost: float = 0.0
-    minority_categories: int = 0
-    minority_ratio: float = 0.1
+    imbalance: tuple[int, float] | None = None
     seeds: int = 1
     output: str = "results.csv"
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            _check_domain(f.name, getattr(self, f.name))
+        for key, ok, domain in (
+            ("dataset", self.dataset in ARCHITECTURES, f"one of {sorted(ARCHITECTURES)}"),
+            ("data_root", self.data_root != "", "a non-empty path or none"),
+            ("seeds", self.seeds >= 1, ">= 1"),
+            ("output", self.output != "", "a non-empty path"),
+        ):
+            if not ok:
+                raise ConfigError(f"{key} must be {domain}, got {getattr(self, key)!r}")
+        try:
+            self.distribution_spec()
+            self.experiment_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def distribution_spec(self) -> DistributionSpec:
         return DistributionSpec(
             kind=self.distribution,
             num_clients=self.num_clients,
             samples_per_client=self.samples_per_client,
-            imbalance=(self.minority_categories, self.minority_ratio),
+            imbalance=self.imbalance,
             seed=self.seed,
         )
 
-    def experiment_config(self, seed: int | None = None) -> ExperimentConfig:
+    def experiment_config(self) -> ExperimentConfig:
         return ExperimentConfig(
             strategy=self.strategy,
             rounds=self.rounds,
@@ -80,77 +90,39 @@ class RunConfig:
                 local_epochs=self.local_epochs,
             ),
             cost=CostModel(client_cost=self.client_cost, server_cost=self.server_cost),
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
         )
 
 
-def _ascii(raw: str) -> str:
-    # int() and float() also read other scripts' digits and underscores.
-    if not raw.isascii() or "_" in raw:
-        raise ValueError(f"not an ASCII numeral: {raw!r}")
-    return raw
+def _optional(parse):
+    """``parse``, with the text ``none``, in any case, read as None."""
+    return lambda raw: None if raw.lower() == "none" else parse(raw)
 
 
-def _parse_int(raw: str) -> int:
-    return int(_ascii(raw))
-
-
-def _parse_float(raw: str) -> float:
-    return float(_ascii(raw))
-
-
-def _parse_optional_int(raw: str) -> int | None:
-    return None if raw.lower() == "none" else _parse_int(raw)
-
-
-def _parse_optional_str(raw: str) -> str | None:
-    return None if raw.lower() == "none" else raw
-
-
-def _positive(value) -> bool:
-    return value >= 1
-
-
-def _nonnegative(value) -> bool:
-    # Written so that NaN and infinity fail too.
-    return 0 <= value < math.inf
-
-
-# Each key's parser, its domain as a check, and the phrase an error shows for
-# the domain.  These are the domains ExperimentConfig, TrainConfig, CostModel,
-# SelectionConfig, DistributionSpec and derive_rng enforce, applied when a
-# value is read.
+# Each key's parser.
 _KEYS = {
-    "dataset": (str, lambda v: v in DATASET_CLASSES, f"one of {sorted(DATASET_CLASSES)}"),
-    "data_root": (_parse_optional_str, lambda v: v is None or v != "",
-                  "a non-empty path or none"),
-    "distribution": (str, lambda v: v in KINDS, f"one of {KINDS}"),
-    "strategy": (str, lambda v: v in STRATEGIES, f"one of {STRATEGIES}"),
-    "mode": (str.upper, lambda v: v in {m.value for m in Mode}, "A or B"),
-    "limit": (_parse_optional_int, lambda v: v is None or v >= 1, ">= 1 or none"),
-    "client_fraction": (_parse_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "rounds": (_parse_int, _positive, ">= 1"),
-    "learning_rate": (_parse_float, _nonnegative, "a finite number >= 0"),
-    "batch_size": (_parse_int, _positive, ">= 1"),
-    "local_epochs": (_parse_int, _positive, ">= 1"),
-    "num_clients": (_parse_int, _positive, ">= 1"),
-    "samples_per_client": (_parse_int, _positive, ">= 1"),
-    "seed": (_parse_int, _nonnegative, ">= 0"),
-    "client_cost": (_parse_float, _nonnegative, "a finite number >= 0"),
-    "server_cost": (_parse_float, _nonnegative, "a finite number >= 0"),
-    "minority_categories": (_parse_int, _nonnegative, ">= 0"),
-    "minority_ratio": (_parse_float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "seeds": (_parse_int, _positive, ">= 1"),
-    "output": (str, lambda v: v != "", "a non-empty path"),
+    "dataset": str,
+    "data_root": _optional(str),
+    "distribution": str,
+    "strategy": str,
+    "mode": str.upper,
+    "limit": _optional(_parse_int),
+    "client_fraction": _parse_float,
+    "rounds": _parse_int,
+    "learning_rate": _parse_float,
+    "batch_size": _parse_int,
+    "local_epochs": _parse_int,
+    "num_clients": _parse_int,
+    "samples_per_client": _parse_int,
+    "seed": _parse_int,
+    "client_cost": _parse_float,
+    "server_cost": _parse_float,
+    "imbalance": parse_imbalance,
+    "seeds": _parse_int,
+    "output": str,
 }
 
 assert set(_KEYS) == {f.name for f in fields(RunConfig)}
-
-
-def _check_domain(key: str, value, where: str = "") -> None:
-    _, check, domain = _KEYS[key]
-    if not check(value):
-        raise ConfigError(f"{where}{key} must be {domain}, got {value!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -163,22 +135,16 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        raw_value = raw_value.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _KEYS[key][0](raw_value)
+            values[key] = _KEYS[key](raw_value.strip())
+            RunConfig(**{key: values[key]})
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        _check_domain(key, values[key], f"line {lineno}: ")
-    try:
-        return RunConfig(**values)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:

@@ -27,11 +27,9 @@ class CostModel:
     server_cost: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.client_cost < math.inf and 0 <= self.server_cost < math.inf):
-            raise ValueError(
-                f"costs must be finite and nonnegative, got client={self.client_cost} "
-                f"server={self.server_cost}"
-            )
+        for name, value in (("client_cost", self.client_cost), ("server_cost", self.server_cost)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 def round_cost(model: CostModel, num_selected: int) -> float:

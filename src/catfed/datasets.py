@@ -230,6 +230,16 @@ def _gone(pid: int) -> bool:
     return False
 
 
+def _delete_dead_temporaries(directory: Path, target: str) -> None:
+    """Delete the temporaries ``.<name>.<pid>.tmp`` in ``directory``, for every
+    name the glob ``target`` matches, whose writer ``pid`` no longer runs."""
+    for stale in directory.glob(f".{target}.*.tmp"):
+        pid = stale.name.removesuffix(".tmp").rpartition(".")[2]
+        if pid.isascii() and pid.isdigit() and _gone(int(pid)):
+            with contextlib.suppress(OSError):
+                stale.unlink()
+
+
 def _write_idx(path, header: bytes, blocks: Iterable[np.ndarray]) -> None:
     """Write ``header`` and then each C-contiguous array of ``blocks``, from
     the array's own buffer, to a temporary sibling of ``path``; then rename it
@@ -242,11 +252,7 @@ def _write_idx(path, header: bytes, blocks: Iterable[np.ndarray]) -> None:
     deleted first.
     """
     path = Path(path)
-    for stale in path.parent.glob(f".{glob.escape(path.name)}.*.tmp"):
-        pid = stale.name[len(path.name) + 2 : -len(".tmp")]
-        if pid.isascii() and pid.isdigit() and _gone(int(pid)):
-            with contextlib.suppress(OSError):
-                stale.unlink()
+    _delete_dead_temporaries(path.parent, glob.escape(path.name))
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "wb") as f:
@@ -316,9 +322,9 @@ def _row_major_images(f, path: Path, count: int) -> np.ndarray:
     holds ``count`` images and was not written within the source's own
     timestamp: on a filesystem with coarse timestamps, a source rewritten in
     that tick can reuse the old file's inode and mtime, and so its key.
-    Otherwise it is rebuilt through ``_write_idx`` and the split's older
-    row-major files are deleted.  If it cannot be written, the same blocks
-    fill a read-only in-memory array instead.
+    Otherwise it is rebuilt through ``_write_idx``, and the split's older
+    row-major files and its dead writers' temporaries are deleted.  If it
+    cannot be written, the same blocks fill a read-only in-memory array instead.
     """
     source = os.fstat(f.fileno())
     row_major = path.with_name(
@@ -340,10 +346,12 @@ def _row_major_images(f, path: Path, count: int) -> np.ndarray:
             pixels[start : start + len(block)] = block
         pixels.flags.writeable = False
         return pixels
-    for stale in path.parent.glob(f".{path.name}.rowmajor-*.idx"):
+    row_major_files = f".{glob.escape(path.name)}.rowmajor-*.idx"
+    for stale in path.parent.glob(row_major_files):
         if stale != row_major:
             with contextlib.suppress(OSError):
                 stale.unlink()
+    _delete_dead_temporaries(path.parent, row_major_files)
     return load_idx_images(row_major)
 
 

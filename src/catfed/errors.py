@@ -1,4 +1,5 @@
-"""Exception types shared across the simulator, and the text read that uses them."""
+"""Exception types shared across the simulator, and the text and number readers
+that the file formats share."""
 
 from pathlib import Path
 
@@ -32,3 +33,18 @@ def read_utf8(path, error: type[ValueError]) -> str:
     except UnicodeDecodeError as exc:
         line = 1 + data.count(b"\n", 0, exc.start)
         raise error(f"{path}:{line}: not valid UTF-8 (byte 0x{data[exc.start]:02x})") from exc
+
+
+def _ascii(raw: str) -> str:
+    # int() and float() also read other scripts' digits and underscores.
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(f"not an ASCII numeral: {raw!r}")
+    return raw
+
+
+def _parse_int(raw: str) -> int:
+    return int(_ascii(raw))
+
+
+def _parse_float(raw: str) -> float:
+    return float(_ascii(raw))

@@ -82,9 +82,9 @@ class ExperimentConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be positive, got {self.limit}")
+            raise ValueError(f"limit must be >= 1 or none, got {self.limit}")
         if self.rounds < 1:
-            raise ValueError(f"rounds must be positive, got {self.rounds}")
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not 0.0 < self.client_fraction <= 1.0:
             raise ValueError(
                 f"client_fraction must be in (0, 1], got {self.client_fraction}"

@@ -47,9 +47,9 @@ class TrainConfig:
                 f"learning_rate must be a finite number >= 0, got {self.learning_rate}"
             )
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.local_epochs < 1:
-            raise ValueError(f"local_epochs must be positive, got {self.local_epochs}")
+            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,10 @@ A spec's ``imbalance = (k, r)`` is the global class imbalance: before any of
 that, the k lowest category ids are shrunk to a fraction r of their rows,
 drawn from the spec seed's imbalance stream, and only the kept rows are
 partitioned.  ``(0, r)`` shrinks nothing, so the spec stores it as None, the
-one spelling of no imbalance.  Assignments always index the split they were
-generated from, so an imbalanced partition needs no copy of the data, and its
-export reloads against the real labels.
+one spelling of no imbalance.  Its text form, ``none`` or ``k:r``, is read by
+``parse_imbalance`` for both a config file and an export header.  Assignments
+always index the split they were generated from, so an imbalanced partition
+needs no copy of the data, and its export reloads against the real labels.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import GenerationError, read_utf8
+from .errors import GenerationError, _parse_float, _parse_int, read_utf8
 from .seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
 from .selection import CategoryMask, _category_ids, _mask_bits
 
@@ -88,12 +89,9 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.num_clients < 1:
-            raise ValueError(f"num_clients must be positive, got {self.num_clients}")
-        if self.samples_per_client < 1:
-            raise ValueError(
-                f"samples_per_client must be positive, got {self.samples_per_client}"
-            )
+        for name in ("num_clients", "samples_per_client"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.imbalance is not None:
@@ -104,6 +102,24 @@ class DistributionSpec:
                 raise ValueError(f"imbalance ratio must be in (0, 1), got {ratio}")
             if minority_count == 0:
                 object.__setattr__(self, "imbalance", None)
+
+
+def parse_imbalance(raw: str) -> tuple[int, float] | None:
+    """A spec's ``imbalance`` from its text form, ``none`` or ``k:r``."""
+    if raw.lower() == "none":
+        return None
+    try:
+        count, ratio = raw.split(":")
+        return _parse_int(count), _parse_float(ratio)
+    except ValueError:
+        raise ValueError(f"imbalance must be none or k:r, got {raw!r}") from None
+
+
+def _check_minority_count(spec: DistributionSpec, num_categories: int) -> None:
+    if spec.imbalance is not None and spec.imbalance[0] >= num_categories:
+        raise ValueError(
+            f"minority count must be in [0, {num_categories}), got {spec.imbalance[0]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -430,11 +446,8 @@ def _kept_rows(
     """
     if spec.imbalance is None:
         return None
+    _check_minority_count(spec, num_categories)
     minority_count, ratio = spec.imbalance
-    if minority_count >= num_categories:
-        raise ValueError(
-            f"minority count must be in [0, {num_categories}), got {minority_count}"
-        )
     rng = derive_rng(spec.seed, STREAM_IMBALANCE)
     keep = np.ones(labels.size, dtype=bool)
     for c in range(minority_count):
@@ -565,9 +578,11 @@ def partition_stats(partition: ClientPartition) -> PartitionStats:
     )
 
 
-_HEADER_FIELDS = (
-    "kind", "num_clients", "samples_per_client", "seed", "num_categories", "imbalance",
-)
+# Each export header field's parser.
+_HEADER_FIELDS = {
+    "kind": str, "num_clients": _parse_int, "samples_per_client": _parse_int,
+    "seed": _parse_int, "num_categories": _parse_int, "imbalance": parse_imbalance,
+}
 
 
 def save_partition(partition: ClientPartition, path) -> None:
@@ -597,7 +612,7 @@ def load_partition(path, labels: np.ndarray) -> ClientPartition:
     if not text or not text[0].startswith("# catfed-partition "):
         raise ValueError(f"{path}: missing partition header")
     try:
-        fields: dict[str, str] = {}
+        fields: dict[str, object] = {}
         for item in text[0].removeprefix("# catfed-partition ").split():
             name, sep, value = item.partition("=")
             if not sep:
@@ -606,29 +621,24 @@ def load_partition(path, labels: np.ndarray) -> ClientPartition:
                 raise ValueError(f"unknown field {name!r}")
             if name in fields:
                 raise ValueError(f"duplicate field {name!r}")
-            fields[name] = value
-        imbalance = None
-        if fields["imbalance"] != "none":
-            raw_count, raw_ratio = fields["imbalance"].split(":")
-            imbalance = (int(raw_count), float(raw_ratio))
-        spec = DistributionSpec(
-            kind=fields["kind"],
-            num_clients=int(fields["num_clients"]),
-            samples_per_client=int(fields["samples_per_client"]),
-            imbalance=imbalance,
-            seed=int(fields["seed"]),
-        )
-        num_categories = int(fields["num_categories"])
-    except KeyError as exc:
-        raise ValueError(f"{path}:1: header lacks {exc.args[0]}") from exc
+            try:
+                fields[name] = _HEADER_FIELDS[name](value)
+            except ValueError as exc:
+                raise ValueError(f"bad value for {name!r}: {exc}") from exc
+        for name in _HEADER_FIELDS:
+            if name not in fields:
+                raise ValueError(f"header lacks {name}")
+        num_categories = fields.pop("num_categories")
+        spec = DistributionSpec(**fields)
+        # Masks are num_categories wide: a wider header is as wrong as a narrower one.
+        if labels.size and int(labels.max()) + 1 != num_categories:
+            raise ValueError(
+                f"num_categories={num_categories}, but the labels reach "
+                f"category {int(labels.max())}"
+            )
+        _check_minority_count(spec, num_categories)
     except ValueError as exc:
         raise ValueError(f"{path}:1: {exc}") from exc
-    # Masks are num_categories wide: a wider header is as wrong as a narrower one.
-    if labels.size and int(labels.max()) + 1 != num_categories:
-        raise ValueError(
-            f"{path}:1: num_categories={num_categories}, but the labels reach "
-            f"category {int(labels.max())}"
-        )
 
     assignments = []
     for number, line in enumerate(text[1:], start=2):
@@ -637,8 +647,8 @@ def load_partition(path, labels: np.ndarray) -> ClientPartition:
         where = f"{path}:{number}"
         head, _, rest = line.partition(":")
         try:
-            client = int(head)
-            assigned = np.array([int(tok) for tok in rest.split()], dtype=np.int64)
+            client = _parse_int(head)
+            assigned = np.array([_parse_int(tok) for tok in rest.split()], dtype=np.int64)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where}: {exc}") from exc
         if client != len(assignments):

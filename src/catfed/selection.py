@@ -30,6 +30,10 @@ class Mode(enum.Enum):
     A = "A"
     B = "B"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"mode must be A or B, got {value!r}")
+
 
 @dataclass(frozen=True)
 class CategoryMask:
@@ -54,9 +58,6 @@ class CategoryMask:
 
     def categories(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.num_categories) if self.bits >> i & 1)
-
-    def is_full(self) -> bool:
-        return self.bits == (1 << self.num_categories) - 1
 
 
 def _category_ids(labels, num_categories: int) -> np.ndarray:

@@ -196,12 +196,13 @@ class TestSweepN:
 
 
 class TestImbalance:
-    """``minority_categories`` shrinks categories inside the partition spec."""
+    """``imbalance = k:r`` shrinks categories inside the partition spec."""
 
     def test_export_reloads_against_the_real_labels(self, tmp_path, data_root):
         out = tmp_path / "part.txt"
-        cfg = write_config(tmp_path, data_root, output=out, minority_categories=4)
+        cfg = write_config(tmp_path, data_root, output=out, imbalance="4:0.1")
         assert main(["partition", str(cfg)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[0].endswith(" imbalance=4:0.1")
 
         train = load_dataset(DatasetSpec("mnist", "train", data_root))
         spec = DistributionSpec(
@@ -222,7 +223,7 @@ class TestImbalance:
                 if line.startswith("note: ")
             ]
 
-        keys = {"minority_categories": 4, "strategy": "cat_cost"}
+        keys = {"imbalance": "4:0.1", "strategy": "cat_cost"}
         part_cfg = write_config(tmp_path, data_root, "p.cfg", output=tmp_path / "p.txt", **keys)
         assert main(["partition", str(part_cfg)]) == 0
         expected = notes()
@@ -294,7 +295,7 @@ class TestErrors:
         cfg.write_text("rounds = 2\nstrategy = powerd\n", encoding="utf-8")
         assert main(["run", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(
-            f"error: {cfg}: line 2: strategy must be one of "
+            f"error: {cfg}: line 2: bad value for 'strategy': strategy must be one of "
         )
 
     def test_non_utf8_config_names_file_and_line(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Config file parsing and validation."""
 
 import dataclasses
+import re
 import tempfile
 from pathlib import Path
 
@@ -68,8 +69,9 @@ class TestParsing:
     @pytest.mark.parametrize(
         "key, raw",
         [("rounds", "١٢"), ("seed", "1_000"), ("learning_rate", "١e-3"),
-         ("client_cost", "1_0.5")],
-        ids=["arabic-indic-int", "underscore-int", "arabic-indic-float", "underscore-float"],
+         ("client_cost", "1_0.5"), ("imbalance", "٢:0.5"), ("imbalance", "2:0_5")],
+        ids=["arabic-indic-int", "underscore-int", "arabic-indic-float", "underscore-float",
+             "arabic-indic-imbalance", "underscore-imbalance"],
     )
     def test_only_ascii_numerals_are_read(self, key, raw):
         with pytest.raises(ConfigError, match=rf"^line 1: bad value for '{key}': "):
@@ -87,7 +89,7 @@ class TestValidation:
         "line, fragment",
         [
             ("dataset = cifar10", "dataset must be one of"),
-            ("distribution = D11", "distribution must be one of"),
+            ("distribution = D11", "'distribution': kind must be one of"),
             ("strategy = powerd", "strategy must be one of"),
             ("mode = C", "mode must be A or B"),
             ("seeds = 0", "seeds must be >= 1"),
@@ -118,9 +120,10 @@ class TestValidation:
             ("client_cost", "inf", "a finite number >= 0"),
             ("server_cost", "-0.5", "a finite number >= 0"),
             ("server_cost", "inf", "a finite number >= 0"),
-            ("minority_categories", "-1", ">= 0"),
-            ("minority_ratio", "0.0", r"in \(0, 1\)"),
-            ("minority_ratio", "1.0", r"in \(0, 1\)"),
+            ("imbalance", "-1:0.5", ">= 0"),
+            ("imbalance", "4:0.0", r"in \(0, 1\)"),
+            ("imbalance", "4:1.0", r"in \(0, 1\)"),
+            ("imbalance", "1:2:3", "none or k:r"),
             ("seeds", "-2", ">= 1"),
             ("output", "", "a non-empty path"),
             ("dataset", "cifar10", r"one of \[.*\]"),
@@ -133,28 +136,32 @@ class TestValidation:
         text = f"seed = 1\n# comment\n{key} = {raw}\nrounds = 5\n"
         if key in ("seed", "rounds"):
             text = f"# comment\n\n{key} = {raw}\n"
-        with pytest.raises(ConfigError, match=rf"^line 3: {key} must be {domain}, got "):
+        # The library config that takes the value words the refusal; distribution
+        # is DistributionSpec's kind, imbalance its minority count or ratio.
+        message = rf"^line 3: bad value for '{key}': .* must be {domain}, got "
+        with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
     @pytest.mark.parametrize(
         "overrides",
         [
             {"rounds": 0}, {"batch_size": 0}, {"local_epochs": -1}, {"client_cost": -2.0},
-            {"client_fraction": 2.0}, {"limit": 0}, {"minority_ratio": 1.5}, {"seed": -3},
+            {"client_fraction": 2.0}, {"limit": 0}, {"imbalance": (4, 1.5)}, {"seed": -3},
             {"learning_rate": float("inf")},
         ],
     )
     def test_direct_construction_checks_the_same_domains(self, overrides):
         (key,) = overrides
-        with pytest.raises(ConfigError, match=rf"^{key} must be "):
+        with pytest.raises(ConfigError, match=rf"^{key}\b.* must be "):
             RunConfig(**overrides)
 
     def test_values_on_the_domain_edges_are_accepted(self):
         cfg = parse_config(
             "client_fraction = 1.0\nlearning_rate = 0.0\nseed = 0\nclient_cost = 0.0\n"
-            "minority_categories = 0\nlimit = 1\nrounds = 1\n"
+            "imbalance = 0:0.5\nlimit = 1\nrounds = 1\n"
         )
         assert (cfg.client_fraction, cfg.learning_rate, cfg.limit, cfg.rounds) == (1.0, 0.0, 1, 1)
+        assert cfg.distribution_spec().imbalance is None
 
 
 class TestDerivedConfigs:
@@ -170,8 +177,11 @@ class TestDerivedConfigs:
         assert spec.imbalance is None
 
     def test_distribution_spec_imbalance(self):
-        cfg = RunConfig(minority_categories=4, minority_ratio=0.1)
+        cfg = parse_config("imbalance = 4:0.1\n")
         assert cfg.distribution_spec().imbalance == (4, 0.1)
+        for key in ("minority_categories", "minority_ratio"):
+            with pytest.raises(ConfigError, match=rf"^line 1: unknown key '{key}'$"):
+                parse_config(f"{key} = 4\n")
 
     def test_experiment_config_mapping(self):
         cfg = RunConfig(
@@ -203,7 +213,8 @@ class TestDerivedConfigs:
         assert exp.seed == 3
 
     def test_experiment_config_seed_override(self):
-        assert RunConfig(seed=3).experiment_config(seed=8).seed == 8
+        seeded = dataclasses.replace(RunConfig(seed=3), seed=8)
+        assert seeded.experiment_config().seed == seeded.distribution_spec().seed == 8
 
     def test_architectures_cover_all_datasets(self):
         from catfed.datasets import DATASET_CLASSES
@@ -211,7 +222,7 @@ class TestDerivedConfigs:
         assert set(ARCHITECTURES) == set(DATASET_CLASSES)
 
 
-# An out-of-domain value for each numeric key.
+# An out-of-domain value for each numeric key and for imbalance (as its text).
 _BAD_VALUES = {
     "rounds": st.integers(max_value=0),
     "batch_size": st.integers(max_value=0),
@@ -221,13 +232,19 @@ _BAD_VALUES = {
     "seeds": st.integers(max_value=0),
     "limit": st.integers(max_value=0),
     "seed": st.integers(max_value=-1),
-    "minority_categories": st.integers(max_value=-1),
     "learning_rate": st.floats(max_value=-1e-300) | st.sampled_from([float("nan"), float("inf")]),
     "client_cost": st.floats(max_value=-1e-300) | st.sampled_from([float("nan"), float("inf")]),
     "server_cost": st.floats(max_value=-1e-300) | st.sampled_from([float("nan"), float("inf")]),
     "client_fraction": st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
     | st.just(float("nan")),
-    "minority_ratio": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(float("nan")),
+    "imbalance": st.builds(
+        "{}:{}".format,
+        st.integers(max_value=-1), st.floats(0.05, 0.95),
+    ) | st.builds(
+        "{}:{}".format,
+        st.integers(min_value=0),
+        st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(float("nan")),
+    ) | st.sampled_from(["1:2:3", "4", "4:", ":0.5", "four:0.5"]),
 }
 
 
@@ -240,10 +257,11 @@ _BAD_VALUES = {
 )
 def test_out_of_domain_value_names_its_line_property(key_and_value, before):
     key, value = key_and_value
-    lines = before + [f"{key} = {value!r}", "output = out.csv"]
+    lines = before + [f"{key} = {value}", "output = out.csv"]
     with pytest.raises(ConfigError) as info:
         parse_config("\n".join(lines) + "\n")
-    assert str(info.value).startswith(f"line {len(before) + 1}: {key} must be ")
+    assert str(info.value).startswith(f"line {len(before) + 1}: bad value for '{key}': ")
+    assert " must be " in str(info.value)
 
 
 # Config-like lines: a real or bogus key, a separator, and text that may be
@@ -269,3 +287,20 @@ def test_arbitrary_config_bytes_load_or_name_the_file_property(data):
             load_config(path)
         except ConfigError as exc:
             assert str(exc).startswith(f"{path}:")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_blocks_parse():
+    # Every fenced block of README.md made only of `key = value` lines is a
+    # config a reader may copy, so each one must parse as written.
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    configs = [
+        block for block in blocks
+        if block.strip() and all(re.match(r"\w+ = \S", line) for line in block.splitlines())
+    ]
+    assert any("imbalance = " in block for block in configs)
+    for block in configs:
+        parse_config(block)

@@ -40,11 +40,11 @@ class TestCostModel:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             CostModel(client_cost=-1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="client_cost must be a finite number >= 0"):
             CostModel(client_cost=float("nan"))
-        for bad in ({"client_cost": float("inf")}, {"server_cost": float("inf")}):
-            with pytest.raises(ValueError, match="must be finite and nonnegative"):
-                CostModel(**bad)
+        for key in ("client_cost", "server_cost"):
+            with pytest.raises(ValueError, match=f"{key} must be a finite number >= 0"):
+                CostModel(**{key: float("inf")})
         with pytest.raises(ValueError):
             round_cost(CostModel(), -2)
 

@@ -514,6 +514,26 @@ class TestRowMajorFile:
         assert load_dataset(spec).images.tobytes() == transposed(raw).tobytes()
         assert (tmp_path / name).read_bytes() == full
 
+    def test_rebuild_deletes_dead_writers_temporaries_of_older_keys(self, tmp_path):
+        # A writer killed part-way through an older key's row-major file
+        # leaves a temporary that the new key's own write never sweeps.
+        _, spec = self.femnist(tmp_path)
+        load_dataset(spec)
+        (old,) = row_major_files(tmp_path)
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()  # reaped, so no process has its pid
+        dead = tmp_path / f".{old}.{child.pid}.tmp"
+        live = tmp_path / f".{old}.{os.getppid()}.tmp"
+        for temporary in (dead, live):
+            temporary.write_bytes(b"partial")
+        raw, spec = self.femnist(tmp_path, n=8, seed=17)
+        assert load_dataset(spec).images.tobytes() == transposed(raw).tobytes()
+        (new,) = [name for name in row_major_files(tmp_path) if name.endswith(".idx")]
+        assert new != old
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+            live.name, new, spec.images_path().name, spec.labels_path().name,
+        ])
+
     def test_unwritable_root_loads_from_memory_and_leaves_no_file(self, tmp_path, monkeypatch):
         raw, spec = self.femnist(tmp_path)
         before = sorted(p.name for p in tmp_path.iterdir())

@@ -270,7 +270,7 @@ class TestRunExperiment:
             ExperimentConfig(strategy="fedavg_random", client_fraction=0.0)
         with pytest.raises(ValueError, match="'C'"):
             ExperimentConfig(strategy="cat_cost", mode="C")
-        with pytest.raises(ValueError, match="limit must be positive, got 0"):
+        with pytest.raises(ValueError, match="limit must be >= 1 or none, got 0"):
             ExperimentConfig(strategy="cat_cost", limit=0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             ExperimentConfig(strategy="cat_cost", seed=-1)

@@ -158,7 +158,7 @@ class TestDeterminismAndEdges:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             DistributionSpec(kind="D11")
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="num_clients must be >= 1, got 0"):
             DistributionSpec(kind="D1", num_clients=0)
         with pytest.raises(ValueError, match="ratio"):
             DistributionSpec(kind="D1", imbalance=(4, 1.5))
@@ -435,8 +435,12 @@ class TestExportRejections:
             ("1: 3 4", 3, "client 1 has 2 samples, header says samples_per_client=3"),
             ("7: 3 4 5", 3, "client 7, expected client 1"),
             ("1: 3 four 5", 3, "invalid literal"),
+            ("1: 3 ٤ 5", 3, "not an ASCII numeral: '٤'"),
+            ("1: 3 4 0_5", 3, "not an ASCII numeral: '0_5'"),
+            ("١: 3 4 5", 3, "not an ASCII numeral: '١'"),
         ],
-        ids=["negative-index", "index-past-end", "sample-count", "client-order", "token"],
+        ids=["negative-index", "index-past-end", "sample-count", "client-order", "token",
+             "arabic-indic-index", "underscore-index", "arabic-indic-client"],
     )
     def test_bad_client_line(self, tmp_path, second, line, message):
         path, load = self.load(tmp_path, second=second)
@@ -485,6 +489,37 @@ class TestExportRejections:
         path, load = self.load(tmp_path, header=GOOD_HEADER + extra)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
             load()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_clients", "٢", "not an ASCII numeral: '٢'"),
+            ("seed", "0_0", "not an ASCII numeral: '0_0'"),
+            ("samples_per_client", "٣", "not an ASCII numeral: '٣'"),
+            ("num_categories", "1_0", "not an ASCII numeral: '1_0'"),
+            ("imbalance", "٢:0.5", "imbalance must be none or k:r, got '٢:0.5'"),
+            ("imbalance", "1:2:3", "imbalance must be none or k:r, got '1:2:3'"),
+        ],
+        ids=["arabic-indic-count", "underscore-seed", "arabic-indic-samples",
+             "underscore-categories", "arabic-indic-imbalance", "three-part-imbalance"],
+    )
+    def test_bad_header_value_names_the_field(self, tmp_path, field, value, message):
+        header = re.sub(rf" {field}=\S+", f" {field}={value}", GOOD_HEADER)
+        path, load = self.load(tmp_path, header=header)
+        expected = f"^{re.escape(str(path))}:1: bad value for '{field}': {re.escape(message)}$"
+        with pytest.raises(ValueError, match=expected):
+            load()
+
+    def test_imbalance_count_below_num_categories(self, tmp_path):
+        # Generation refuses k >= num_categories; so does the export reader.
+        for count in (10, 11):
+            header = GOOD_HEADER.replace("imbalance=none", f"imbalance={count}:0.5")
+            path, load = self.load(tmp_path, header=header)
+            message = rf"^{re.escape(str(path))}:1: minority count must be in \[0, 10\), got {count}$"
+            with pytest.raises(ValueError, match=message):
+                load()
+        path, load = self.load(tmp_path, header=GOOD_HEADER.replace("=none", "=9:0.5"))
+        assert load().spec.imbalance == (9, 0.5)
 
     def test_non_utf8_byte_names_the_line(self, tmp_path):
         path, load = self.load(tmp_path)

@@ -18,8 +18,8 @@ class TestCategoryMask:
         assert m.has(3) and not m.has(1)
 
     def test_full_mask(self):
-        assert build_mask(range(4), 4).is_full()
-        assert not build_mask([0, 1, 2], 4).is_full()
+        assert build_mask(range(4), 4).bits == 0b1111
+        assert build_mask([0, 1, 2], 4).popcount() == 3
 
     def test_out_of_range_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ class TestPerformanceStrategy:
         masks = [build_mask([0, 2], 4), build_mask([1, 3], 4), build_mask([0], 4)]
         res = select_performance(masks, SelectionConfig(num_categories=4, limit=4))
         assert res.selected == (0, 1)
-        assert res.coverage.is_full()
+        assert res.covered_count() == 4
         assert res.skipped_categories == (2, 3)
 
     def test_limit_stops_scan(self):
@@ -129,7 +129,7 @@ class TestCostStrategy:
         masks = [build_mask([0, 1, 2], 4), build_mask([1, 2, 3], 4), build_mask([0], 4)]
         res = select_cost(masks, SelectionConfig(num_categories=4, limit=3))
         assert res.selected == (0, 1)
-        assert res.coverage.is_full()
+        assert res.covered_count() == 4
 
     def test_duplicate_mask_rejected_equal_sets(self):
         masks = [build_mask([0, 1], 3), build_mask([0, 1], 3), build_mask([2], 3)]
@@ -165,7 +165,7 @@ class TestRandomStrategy:
     def test_coverage_reported(self):
         masks = [build_mask([i % 3], 3) for i in range(9)]
         res = select_random(masks, 9, np.random.default_rng(1))
-        assert res.coverage.is_full()
+        assert res.covered_count() == 3
 
     def test_bad_k_rejected(self):
         masks = [build_mask([0], 2)] * 5
