@@ -25,6 +25,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .datasets import DatasetSpec, LabeledDataset, load_dataset
+from .errors import _parse_int
 from .federation import ExperimentResult, RoundRecord, run_experiment
 from .partitions import (
     ClientPartition,
@@ -45,7 +46,11 @@ SWEEP_HEADER = "n,selected_k,categories_covered,final_accuracy,cumulative_cost"
 def resolve_data_root(config: RunConfig) -> Path:
     if config.data_root is not None:
         return Path(config.data_root)
-    return Path(os.environ.get(ENV_DATA_ROOT, "data"))
+    root = os.environ.get(ENV_DATA_ROOT, "data")
+    if root == "":
+        # Path("") is the working directory; refused as data_root = "" is.
+        raise ValueError(f"{ENV_DATA_ROOT} must be a non-empty path or unset, got ''")
+    return Path(root)
 
 
 def records_to_csv(records: tuple[RoundRecord, ...]) -> str:
@@ -145,16 +150,17 @@ def cmd_partition(config_path: str) -> int:
 
 
 def _parse_n_values(raw: str) -> list[int]:
-    """``--n``: a comma list of N values and N-M ranges, each N >= 1."""
+    """``--n``: a comma list of N values and N-M ranges, each N >= 1, in
+    ASCII numerals as config files are."""
     values: set[int] = set()
     for token in raw.split(","):
         token = token.strip()
         try:
             if "-" in token.lstrip("-"):
                 lo, _, hi = token.partition("-")
-                first, last = int(lo), int(hi)
+                first, last = _parse_int(lo), _parse_int(hi)
             else:
-                first = last = int(token)
+                first = last = _parse_int(token)
         except ValueError:
             raise ValueError(
                 f"--n: {token!r} is neither an integer nor a range N-M"

@@ -1,6 +1,7 @@
 """Exception types shared across the simulator, and the text and number readers
 that the file formats share."""
 
+import numbers
 from pathlib import Path
 
 
@@ -48,3 +49,10 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     return float(_ascii(raw))
+
+
+def _require_int(name: str, value) -> None:
+    """Refuse a float or a bool where a count is expected: ``2.5`` would be
+    used as it stands, and ``True`` as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -35,7 +35,7 @@ import numpy as np
 
 from .costs import CostLedger, CostModel
 from .datasets import LabeledDataset
-from .errors import RoundError
+from .errors import RoundError, _require_int
 from .network import (
     Diverged,
     ModelParams,
@@ -81,14 +81,19 @@ class ExperimentConfig:
         object.__setattr__(self, "mode", Mode(self.mode))
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be >= 1 or none, got {self.limit}")
+        if self.limit is not None:
+            _require_int("limit", self.limit)
+            if self.limit < 1:
+                raise ValueError(f"limit must be >= 1 or none, got {self.limit}")
+        _require_int("rounds", self.rounds)
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not 0.0 < self.client_fraction <= 1.0:
             raise ValueError(
                 f"client_fraction must be in (0, 1], got {self.client_fraction}"
             )
+        for width in self.hidden:
+            _require_int("hidden width", width)
         if not all(h > 0 for h in self.hidden):
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
         if self.seed < 0:

@@ -10,11 +10,11 @@ gradients, allocated once per call.  ``train_clients`` is the one training
 loop.  It trains clients in cohorts: up to COHORT consecutive clients with
 the same sample count step in lockstep on stacked ``(g, rows, width)``
 buffers, each with its own private copy of the weights, its own shuffle and
-its own gradient, and each gets the bits it would get trained alone.
-client_update is a cohort of one; evaluate runs its chunks through the same
-workspace.  So a loop over batches or chunks allocates no array data, and
-its results are the same bits as the plain ``a @ w.T + b`` expressions.  The
-input model is never written.
+its own gradient for every layer, and each gets the bits it would get trained
+alone.  client_update is a cohort of one; evaluate runs its chunks through
+the same workspace.  So a loop over batches or chunks allocates no array
+data, and its results are the same bits as the plain ``a @ w.T + b``
+expressions.  The input model is never written.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .selection import _category_ids
 
 PROB_FLOOR = 1e-12  # clamp before log so empty-probability classes stay finite
 
@@ -122,16 +124,12 @@ def _check_rows(model: ModelParams, batch: np.ndarray) -> np.ndarray:
 
 
 def _check_labels(model: ModelParams, labels: np.ndarray, rows: int) -> np.ndarray:
-    """One class label per row, as intp (the caller's array when it is intp)."""
+    """One integer class label per row, as intp (the caller's array when it
+    is intp); float and bool labels are refused, not truncated."""
     labels = np.asarray(labels)
     if labels.shape != (rows,):
         raise ValueError(f"{rows} images vs {labels.size} labels")
-    if labels.size and (labels.min() < 0 or labels.max() >= model.num_classes):
-        raise ValueError(
-            f"labels must be in [0, {model.num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return labels.astype(np.intp, copy=False)
+    return _category_ids(labels, model.num_classes)
 
 
 def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -152,8 +150,9 @@ class _Workspace:
     exactly as the expression it stands for: ``a @ w.T + b``, ``max(z, 0)``,
     softmax as ``exp(z - max) / sum``, and cross-entropy as
     ``-log(max(p, PROB_FLOOR))``.  The backward buffers exist only when built
-    with ``train=True``; the members take turns with one layer-0 weight
-    gradient, the largest.
+    with ``train=True``; each member has its own weight and bias gradient
+    for every layer, ``(members, fan_out, fan_in)`` and ``(members,
+    fan_out)``.
 
     numpy buffers an operand it broadcasts (up to 64 KiB per call), so a bias
     or a row statistic is first copied out to full rows in ``spread`` and
@@ -179,8 +178,7 @@ class _Workspace:
             self.losses = np.empty(total)
             self.deltas = [np.empty(total * width) for width in widths[:-1]]
             self.inactive = [np.empty(total * width, dtype=bool) for width in widths[:-1]]
-            self.grad_w0 = np.empty_like(weights[0])
-            self.grad_w = [np.empty((members, *w.shape)) for w in weights[1:]]
+            self.grad_w = [np.empty((members, *w.shape)) for w in weights]
             self.grad_b = [np.empty((members, width)) for width in widths]
 
     def convert(self, rows: np.ndarray) -> np.ndarray:
@@ -247,15 +245,11 @@ class _Workspace:
         np.negative(losses, out=losses)
         return out
 
-    def backward(self, weights, x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, weights, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Each member's mean cross-entropy of the last forward pass (on
-        stacked ``x``) and its exact gradient, from the top layer down.
-
-        Layer l > 0's weight gradients land in ``grad_w[l - 1]``, every bias
-        gradient in ``grad_b``.  Returns the mean losses and layer 0's output
-        delta, from which ``grad_layer0`` makes a member's layer-0 weight
-        gradient.
-        """
+        stacked ``x``), returned, and its exact gradient, from the top layer
+        down: layer l's weight gradients land in ``grad_w[l]``, its bias
+        gradients in ``grad_b[l]``."""
         g, n = x.shape[:2]
         losses = self.cross_entropy(labels, _view(self.losses, (g, n)))
         means = np.add.reduce(losses, axis=1)
@@ -269,18 +263,14 @@ class _Workspace:
         delta = _view(self.outs[-1], (g, n, weights[-1].shape[-2]))
         delta /= n
 
-        for l in range(len(weights) - 1, 0, -1):
-            a_in = _view(self.outs[l - 1], (g, n, weights[l].shape[-1]))
-            np.matmul(np.swapaxes(delta, 1, 2), a_in, out=self.grad_w[l - 1][:g])
+        for l in range(len(weights) - 1, -1, -1):
+            a_in = _view(self.outs[l - 1], (g, n, weights[l].shape[-1])) if l else x
+            np.matmul(np.swapaxes(delta, 1, 2), a_in, out=self.grad_w[l][:g])
             np.add.reduce(delta, axis=1, out=self.grad_b[l][:g])
-            delta = np.matmul(delta, weights[l], out=_view(self.deltas[l - 1], a_in.shape))
-            _relu_gate(delta, a_in, _view(self.inactive[l - 1], a_in.shape))
-        np.add.reduce(delta, axis=1, out=self.grad_b[0][:g])
-        return means, delta
-
-    def grad_layer0(self, delta: np.ndarray, x: np.ndarray, member: int) -> np.ndarray:
-        """Member ``member``'s layer-0 weight gradient, into ``grad_w0``."""
-        return np.matmul(delta[member].T, x[member], out=self.grad_w0)
+            if l:
+                delta = np.matmul(delta, weights[l], out=_view(self.deltas[l - 1], a_in.shape))
+                _relu_gate(delta, a_in, _view(self.inactive[l - 1], a_in.shape))
+        return means
 
 
 def _relu_gate(delta: np.ndarray, a: np.ndarray, inactive: np.ndarray) -> None:
@@ -305,9 +295,10 @@ def loss_and_grad(
     weights = [w[None] for w in model.weights]
     x = ws.convert(batch[None])
     ws.forward(weights, [b[None] for b in model.biases], x)
-    losses, delta = ws.backward(weights, x, labels[None])
-    grad_w = (ws.grad_layer0(delta, x, 0), *(g[0] for g in ws.grad_w))
-    return float(losses[0]), ModelParams(weights=grad_w, biases=tuple(g[0] for g in ws.grad_b))
+    losses = ws.backward(weights, x, labels[None])
+    return float(losses[0]), ModelParams(
+        weights=tuple(g[0] for g in ws.grad_w), biases=tuple(g[0] for g in ws.grad_b)
+    )
 
 
 class Diverged(FloatingPointError):
@@ -414,8 +405,7 @@ def train_clients(
                 x = ws.gather(images, index)
                 ys = np.take(labels, index, out=_view(ws.labels, index.shape), mode="clip")
                 ws.forward(weights, biases, x)
-                losses, delta = ws.backward(weights, x, ys)
-                values = losses.tolist()
+                values = ws.backward(weights, x, ys).tolist()
                 for i, loss in enumerate(values):
                     if failures[i] is None and not math.isfinite(loss):
                         failures[i] = (
@@ -425,14 +415,10 @@ def train_clients(
                 if failures[0] is not None:
                     raise Diverged(first, failures[0])
                 last = values
-                for p, grad in zip(weights[1:] + biases, ws.grad_w + ws.grad_b):
+                for p, grad in zip(weights + biases, ws.grad_w + ws.grad_b):
                     grad = grad[:g]
                     grad *= lr
                     p -= grad
-                for i in range(g):
-                    grad = ws.grad_layer0(delta, x, i)
-                    grad *= lr
-                    weights[0][i] -= grad
 
         for i in range(g):
             if failures[i] is not None:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _require_int
+
 MODE_A_LIMIT = 10
 
 # The strategies that select by category masks, as run and config name them.
@@ -109,8 +111,10 @@ class SelectionConfig:
         object.__setattr__(self, "mode", Mode(self.mode))
         if self.num_categories < 1:
             raise ValueError(f"num_categories must be >= 1, got {self.num_categories}")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be positive, got {self.limit}")
+        if self.limit is not None:
+            _require_int("limit", self.limit)
+            if self.limit < 1:
+                raise ValueError(f"limit must be positive, got {self.limit}")
 
 
 def resolve_limit(config: SelectionConfig) -> int:

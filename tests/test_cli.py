@@ -112,6 +112,19 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         assert out.exists()
 
+    def test_empty_env_var_data_root_refused(self, tmp_path, monkeypatch, capsys):
+        # An empty root would read the working directory as the data root.
+        monkeypatch.setenv("CATFED_DATA_ROOT", "")
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text(
+            "".join(f"{key} = {value}\n" for key, value in BASE_KEYS.items()),
+            encoding="utf-8",
+        )
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: CATFED_DATA_ROOT must be a non-empty path or unset, got ''\n"
+        )
+
     def test_fedavg_strategy_runs(self, tmp_path, data_root):
         out = tmp_path / "avg.csv"
         cfg = write_config(
@@ -186,8 +199,13 @@ class TestSweepN:
             ("0", "--n: N values must be >= 1, got '0'"),
             ("1,-2", "--n: N values must be >= 1, got '-2'"),
             ("5-3", "--n: range '5-3' runs backwards"),
+            ("\u0661-\u0663", "--n: '\u0661-\u0663' is neither an integer nor a range N-M"),
+            ("1_0", "--n: '1_0' is neither an integer nor a range N-M"),
         ],
-        ids=["bad-range-end", "empty-token", "zero", "negative", "reversed-range"],
+        ids=[
+            "bad-range-end", "empty-token", "zero", "negative", "reversed-range",
+            "arabic-indic-range", "underscore",
+        ],
     )
     def test_bad_n_names_option_and_token(self, tmp_path, data_root, capsys, raw, message):
         cfg = write_config(tmp_path, data_root, strategy="cat_cost")

@@ -274,6 +274,15 @@ class TestRunExperiment:
             ExperimentConfig(strategy="cat_cost", limit=0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             ExperimentConfig(strategy="cat_cost", seed=-1)
+        # A float limit never equals len(selected), so it would cap nothing.
+        for field, value, shown in (
+            ("limit", 2.5, "2.5"), ("limit", True, "True"), ("rounds", 2.5, "2.5"),
+        ):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got {shown}$"):
+                ExperimentConfig(strategy="cat_cost", **{field: value})
+        with pytest.raises(ValueError, match=r"^hidden width must be an integer, got 2\.5$"):
+            ExperimentConfig(strategy="cat_cost", hidden=(100, 2.5))
+        assert ExperimentConfig(strategy="cat_cost", limit=np.int64(3), hidden=(np.intp(8),))
 
     def test_mode_value_caps_the_round_like_the_member(self):
         # Mode A caps a 47-category selection at 10 clients, whether the

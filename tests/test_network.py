@@ -202,7 +202,7 @@ class TestLossAndGrad:
 
     def test_label_out_of_range_rejected(self):
         model = init_model([3, 2], np.random.default_rng(0))
-        with pytest.raises(ValueError, match="labels"):
+        with pytest.raises(ValueError, match=r"category 2 out of range \[0, 2\)"):
             loss_and_grad(model, np.zeros((1, 3)), np.array([2]))
 
 
@@ -543,6 +543,29 @@ class TestUint8Rows:
         want = client_update(model, x / 255.0, y, cfg, np.random.default_rng(5))
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "labels, dtype",
+    [(np.array([1.7, 0.2]), "float64"), (np.array([True, False]), "bool")],
+    ids=["float", "bool"],
+)
+@pytest.mark.parametrize("entry", ["evaluate", "loss_and_grad", "train_clients"])
+def test_non_integer_labels_refused(entry, labels, dtype):
+    # Truncating 1.7 to 1, or reading True as 1, would train on labels the
+    # caller never gave.
+    model = init_model([3, 2], np.random.default_rng(0))
+    x = np.zeros((2, 3))
+    calls = {
+        "evaluate": lambda: evaluate(model, x, labels),
+        "loss_and_grad": lambda: loss_and_grad(model, x, labels),
+        "train_clients": lambda: train_clients(
+            model, x, labels, [np.arange(2)], TrainConfig(),
+            [np.random.default_rng(0)], lambda *_: None,
+        ),
+    }
+    with pytest.raises(ValueError, match=f"labels must be integers, got dtype {dtype}"):
+        calls[entry]()
 
 
 def test_relu_gate_matches_np_where_including_nan():

@@ -83,6 +83,11 @@ class TestLimitResolution:
         with pytest.raises(ValueError):
             SelectionConfig(num_categories=5, limit=0)
 
+    @pytest.mark.parametrize("limit", [2.5, 3.0, True])
+    def test_non_integer_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match=f"^limit must be an integer, got {limit!r}$"):
+            SelectionConfig(num_categories=5, limit=limit)
+
     def test_mode_value_is_read_as_the_member(self):
         cfg = SelectionConfig(num_categories=47, mode="A")
         assert cfg.mode is Mode.A

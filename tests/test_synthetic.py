@@ -1,5 +1,10 @@
 """Synthetic IDX fixtures: shapes, counts, determinism, prototype sharing."""
 
+import hashlib
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -114,3 +119,25 @@ class TestDeterminismAndFiles:
         assert paths["test_labels"].read_bytes() == marker
         write_fixture("mnist", tmp_path, seed=0, force=True)
         assert paths["test_labels"].read_bytes() != marker
+
+
+def test_mnist_fixture_matches_the_recorded_hashes(tmp_path):
+    # The benchmark's golden CSVs were recorded on these exact bytes.
+    golden = Path(__file__).parents[1] / "perfbench" / "golden.json"
+    recorded = json.loads(golden.read_text(encoding="utf-8"))["fixtures"]
+    paths = write_fixture("mnist", tmp_path, seed=0)
+    for path in paths.values():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded[path.name]
+
+
+def test_generate_split_peak_is_near_the_splits_own_bytes():
+    # Noise is drawn and scaled one block at a time, straight into the
+    # shuffled rows: the peak is the split plus one 2,048-row float64 block
+    # (12.8 MB), where float64 copies of the split would take 376 MB each.
+    tracemalloc.start()
+    try:
+        images, labels = generate_split("mnist", "train", seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= images.nbytes + labels.nbytes + 16 * 2**20
