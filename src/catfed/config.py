@@ -12,9 +12,10 @@ its domain, and RunConfig itself checks only the four keys that none takes.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .costs import CostModel
-from .errors import ConfigError, _parse_float, _parse_int, read_utf8
+from .errors import ConfigError, _parse_float, _parse_int
 from .federation import ExperimentConfig
 from .network import TrainConfig
 from .partitions import DistributionSpec, parse_imbalance
@@ -148,8 +149,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """The config in ``path``; every ConfigError names the file."""
-    text = read_utf8(path, ConfigError)
+    """The config in ``path``; every ConfigError names the file, and a byte
+    that is not UTF-8 also names its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + data.count(b"\n", 0, exc.start)
+        raise ConfigError(
+            f"{path}:{line}: not valid UTF-8 (byte 0x{data[exc.start]:02x})"
+        ) from exc
     try:
         return parse_config(text)
     except ConfigError as exc:

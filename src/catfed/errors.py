@@ -1,8 +1,7 @@
-"""Exception types shared across the simulator, and the text and number readers
-that the file formats share."""
+"""Exception types shared across the simulator, and the number readers and
+checks that the file formats and configs share."""
 
 import numbers
-from pathlib import Path
 
 
 class DataFormatError(ValueError):
@@ -24,16 +23,6 @@ class ConfigError(ValueError):
 class RoundError(RuntimeError):
     """A federated round could not proceed (e.g. selection returned no clients,
     or a client's local training went non-finite)."""
-
-
-def read_utf8(path, error: type[ValueError]) -> str:
-    """The text of ``path``; a byte that is not UTF-8 raises ``error`` naming the line."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = 1 + data.count(b"\n", 0, exc.start)
-        raise error(f"{path}:{line}: not valid UTF-8 (byte 0x{data[exc.start]:02x})") from exc
 
 
 def _ascii(raw: str) -> str:

@@ -96,6 +96,7 @@ class ExperimentConfig:
             _require_int("hidden width", width)
         if not all(h > 0 for h in self.hidden):
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
+        _require_int("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import _require_int
 from .selection import _category_ids
 
 PROB_FLOOR = 1e-12  # clamp before log so empty-probability classes stay finite
@@ -48,8 +49,10 @@ class TrainConfig:
             raise ValueError(
                 f"learning_rate must be a finite number >= 0, got {self.learning_rate}"
             )
+        _require_int("batch_size", self.batch_size)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        _require_int("local_epochs", self.local_epochs)
         if self.local_epochs < 1:
             raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
 

@@ -35,10 +35,10 @@ A spec's ``imbalance = (k, r)`` is the global class imbalance: before any of
 that, the k lowest category ids are shrunk to a fraction r of their rows,
 drawn from the spec seed's imbalance stream, and only the kept rows are
 partitioned.  ``(0, r)`` shrinks nothing, so the spec stores it as None, the
-one spelling of no imbalance.  Its text form, ``none`` or ``k:r``, is read by
-``parse_imbalance`` for both a config file and an export header.  Assignments
-always index the split they were generated from, so an imbalanced partition
-needs no copy of the data, and its export reloads against the real labels.
+one spelling of no imbalance.  Its text form, ``none`` or ``k:r``, is read
+from a config file by ``parse_imbalance`` and written in an export header.
+Assignments always index the split they were generated from, so an imbalanced
+partition needs no copy of the data.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import GenerationError, _parse_float, _parse_int, read_utf8
+from .errors import GenerationError, _parse_float, _parse_int, _require_int
 from .seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
 from .selection import CategoryMask, _category_ids, _mask_bits
 
@@ -90,12 +90,15 @@ class DistributionSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         for name in ("num_clients", "samples_per_client"):
+            _require_int(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _require_int("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.imbalance is not None:
             minority_count, ratio = self.imbalance
+            _require_int("imbalance minority count", minority_count)
             if minority_count < 0:
                 raise ValueError(f"minority count must be >= 0, got {minority_count}")
             if not 0.0 < ratio < 1.0:
@@ -113,13 +116,6 @@ def parse_imbalance(raw: str) -> tuple[int, float] | None:
         return _parse_int(count), _parse_float(ratio)
     except ValueError:
         raise ValueError(f"imbalance must be none or k:r, got {raw!r}") from None
-
-
-def _check_minority_count(spec: DistributionSpec, num_categories: int) -> None:
-    if spec.imbalance is not None and spec.imbalance[0] >= num_categories:
-        raise ValueError(
-            f"minority count must be in [0, {num_categories}), got {spec.imbalance[0]}"
-        )
 
 
 @dataclass(frozen=True)
@@ -446,8 +442,11 @@ def _kept_rows(
     """
     if spec.imbalance is None:
         return None
-    _check_minority_count(spec, num_categories)
     minority_count, ratio = spec.imbalance
+    if minority_count >= num_categories:
+        raise ValueError(
+            f"minority count must be in [0, {num_categories}), got {minority_count}"
+        )
     rng = derive_rng(spec.seed, STREAM_IMBALANCE)
     keep = np.ones(labels.size, dtype=bool)
     for c in range(minority_count):
@@ -515,42 +514,6 @@ def generate_partition(spec: DistributionSpec, dataset: LabeledDataset) -> Clien
     return generate_partition_from_labels(spec, dataset.labels, dataset.num_categories)
 
 
-def validate_partition(partition: ClientPartition, labels: np.ndarray) -> list[str]:
-    """Check the structural constraints of the partition's kind; [] means valid."""
-    spec = partition.spec
-    problems: list[str] = []
-    count_bounds, presence_bounds = kind_bounds(
-        spec.kind, partition.num_categories, spec.num_clients, spec.samples_per_client
-    )
-
-    expected = _masks(partition.assignments, labels, partition.num_categories)
-    for j, (assigned, mask) in enumerate(zip(partition.assignments, partition.masks)):
-        if len(assigned) != spec.samples_per_client:
-            problems.append(
-                f"client {j}: {len(assigned)} samples != {spec.samples_per_client}"
-            )
-        if expected[j] != mask:
-            problems.append(f"client {j}: stored mask disagrees with assigned labels")
-        k = mask.popcount()
-        if not count_bounds[0] <= k <= count_bounds[1]:
-            problems.append(
-                f"client {j}: {k} categories outside [{count_bounds[0]}, {count_bounds[1]}]"
-            )
-
-    if spec.kind in _RANGE_KINDS:
-        presence = partition.category_presence
-        lo, hi = presence_bounds
-        lo = effective_presence_lo(lo, int(presence.sum()), partition.num_categories)
-        bad = np.flatnonzero((presence < lo) | (presence > hi))
-        for c in bad:
-            problems.append(
-                f"category {int(c)}: presence {int(presence[c])} outside [{lo}, {hi}]"
-            )
-        if spec.kind == "D1" and np.any(np.diff(presence) > 0):
-            problems.append("D1 presence profile is not non-increasing")
-    return problems
-
-
 @dataclass(frozen=True)
 class PartitionStats:
     category_presence: np.ndarray
@@ -578,13 +541,6 @@ def partition_stats(partition: ClientPartition) -> PartitionStats:
     )
 
 
-# Each export header field's parser.
-_HEADER_FIELDS = {
-    "kind": str, "num_clients": _parse_int, "samples_per_client": _parse_int,
-    "seed": _parse_int, "num_categories": _parse_int, "imbalance": parse_imbalance,
-}
-
-
 def save_partition(partition: ClientPartition, path) -> None:
     """Text export: a header with the DistributionSpec fields, then one indices line per client."""
     spec = partition.spec
@@ -600,77 +556,3 @@ def save_partition(partition: ClientPartition, path) -> None:
     for j, assigned in enumerate(partition.assignments):
         lines.append(f"{j}: " + " ".join(str(int(i)) for i in assigned))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_partition(path, labels: np.ndarray) -> ClientPartition:
-    """Rebuild a partition from its export; masks are recomputed from ``labels``.
-
-    An export that does not match its own header or ``labels`` is rejected
-    with a ValueError naming the file and the offending line.
-    """
-    text = read_utf8(path, ValueError).splitlines()
-    if not text or not text[0].startswith("# catfed-partition "):
-        raise ValueError(f"{path}: missing partition header")
-    try:
-        fields: dict[str, object] = {}
-        for item in text[0].removeprefix("# catfed-partition ").split():
-            name, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"header item {item!r} is not name=value")
-            if name not in _HEADER_FIELDS:
-                raise ValueError(f"unknown field {name!r}")
-            if name in fields:
-                raise ValueError(f"duplicate field {name!r}")
-            try:
-                fields[name] = _HEADER_FIELDS[name](value)
-            except ValueError as exc:
-                raise ValueError(f"bad value for {name!r}: {exc}") from exc
-        for name in _HEADER_FIELDS:
-            if name not in fields:
-                raise ValueError(f"header lacks {name}")
-        num_categories = fields.pop("num_categories")
-        spec = DistributionSpec(**fields)
-        # Masks are num_categories wide: a wider header is as wrong as a narrower one.
-        if labels.size and int(labels.max()) + 1 != num_categories:
-            raise ValueError(
-                f"num_categories={num_categories}, but the labels reach "
-                f"category {int(labels.max())}"
-            )
-        _check_minority_count(spec, num_categories)
-    except ValueError as exc:
-        raise ValueError(f"{path}:1: {exc}") from exc
-
-    assignments = []
-    for number, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
-        where = f"{path}:{number}"
-        head, _, rest = line.partition(":")
-        try:
-            client = _parse_int(head)
-            assigned = np.array([_parse_int(tok) for tok in rest.split()], dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-        if client != len(assignments):
-            raise ValueError(f"{where}: client {client}, expected client {len(assignments)}")
-        if assigned.size != spec.samples_per_client:
-            raise ValueError(
-                f"{where}: client {client} has {assigned.size} samples, header says "
-                f"samples_per_client={spec.samples_per_client}"
-            )
-        outside = assigned[(assigned < 0) | (assigned >= labels.size)]
-        if outside.size:
-            raise ValueError(
-                f"{where}: sample index {int(outside[0])} outside [0, {labels.size})"
-            )
-        assignments.append(assigned)
-    if len(assignments) != spec.num_clients:
-        raise ValueError(
-            f"{path}: {len(assignments)} client lines, header says {spec.num_clients}"
-        )
-    return ClientPartition(
-        spec=spec,
-        num_categories=num_categories,
-        assignments=tuple(assignments),
-        masks=_masks(assignments, labels, num_categories),
-    )

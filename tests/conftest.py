@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from catfed import ClientPartition, DistributionSpec, LabeledDataset
+from catfed import ClientPartition, DistributionSpec, LabeledDataset, build_mask
+from catfed.partitions import parse_imbalance
 from catfed.selection import CategoryMask
 
 
@@ -60,6 +63,29 @@ def make_partition(assignments, masks) -> ClientPartition:
         assignments=tuple(assignments),
         masks=masks,
     )
+
+
+def assert_export_matches(path, partition: ClientPartition, labels: np.ndarray) -> None:
+    """The export at ``path`` carries ``partition``'s spec fields and client
+    rows, and those rows index ``labels`` to the partition's masks."""
+    header, *lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert header.startswith("# catfed-partition ")
+    fields = dict(item.split("=") for item in header.removeprefix("# catfed-partition ").split())
+    spec = partition.spec
+    assert parse_imbalance(fields.pop("imbalance")) == spec.imbalance
+    assert fields == {
+        "kind": spec.kind,
+        "num_clients": str(spec.num_clients),
+        "samples_per_client": str(spec.samples_per_client),
+        "seed": str(spec.seed),
+        "num_categories": str(partition.num_categories),
+    }
+    assert len(lines) == partition.num_clients
+    for j, line in enumerate(lines):
+        head, rest = line.split(": ")
+        rows = [int(tok) for tok in rest.split()]
+        assert (head, rows) == (str(j), partition.assignments[j].tolist())
+        assert build_mask(labels[rows], partition.num_categories) == partition.masks[j]
 
 
 def random_masks(

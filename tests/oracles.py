@@ -6,9 +6,13 @@ naive (membership tests via ``in``, popcount via bin().count) so they share
 no structure with the production code they check.
 ``minimal_cover_size`` brute-forces the smallest client subset whose masks
 cover everything coverable; it is exponential and only run on small instances.
+``validate_partition`` checks a generated partition against its kind's
+bounds, rebuilding each mask and each category's presence label by label.
 """
 
 from itertools import combinations
+
+from catfed.partitions import kind_bounds
 
 
 def _sorted_decreasing_set_bits(masks_bits: list[int]) -> list[int]:
@@ -65,3 +69,43 @@ def minimal_cover_size(masks_bits: list[int], num_categories: int) -> int:
             if union == target:
                 return size
     raise AssertionError("the full set always covers its own union")
+
+
+def validate_partition(partition, labels) -> list[str]:
+    """Check the structural constraints of the partition's kind; [] means valid."""
+    spec = partition.spec
+    num_categories = partition.num_categories
+    problems: list[str] = []
+    count_bounds, presence_bounds = kind_bounds(
+        spec.kind, num_categories, spec.num_clients, spec.samples_per_client
+    )
+
+    presence = [0] * num_categories
+    for j, (assigned, mask) in enumerate(zip(partition.assignments, partition.masks)):
+        if len(assigned) != spec.samples_per_client:
+            problems.append(
+                f"client {j}: {len(assigned)} samples != {spec.samples_per_client}"
+            )
+        bits = 0
+        for row in assigned:
+            bits |= 1 << int(labels[row])
+        if bits != mask.bits:
+            problems.append(f"client {j}: stored mask disagrees with assigned labels")
+        for c in range(num_categories):
+            presence[c] += mask.bits >> c & 1
+        k = bin(mask.bits).count("1")
+        if not count_bounds[0] <= k <= count_bounds[1]:
+            problems.append(
+                f"client {j}: {k} categories outside [{count_bounds[0]}, {count_bounds[1]}]"
+            )
+
+    if spec.kind in ("D1", "D2", "D3", "D4", "D5"):
+        lo, hi = presence_bounds
+        # Too few category slots relax the presence floor to what they support.
+        lo = min(lo, sum(presence) // num_categories)
+        for c, held in enumerate(presence):
+            if not lo <= held <= hi:
+                problems.append(f"category {c}: presence {held} outside [{lo}, {hi}]")
+        if spec.kind == "D1" and any(a < b for a, b in zip(presence, presence[1:])):
+            problems.append("D1 presence profile is not non-increasing")
+    return problems

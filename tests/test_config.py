@@ -3,18 +3,20 @@
 import dataclasses
 import re
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catfed import ConfigError, Mode
+from catfed import ConfigError, DistributionSpec, ExperimentConfig, Mode
 from catfed.config import (
     ARCHITECTURES,
     RunConfig,
     load_config,
     parse_config,
 )
+from catfed.network import TrainConfig
 
 
 class TestParsing:
@@ -154,6 +156,37 @@ class TestValidation:
         (key,) = overrides
         with pytest.raises(ConfigError, match=rf"^{key}\b.* must be "):
             RunConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "make, overrides, message",
+        [
+            (TrainConfig, {"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+            (TrainConfig, {"local_epochs": True}, "local_epochs must be an integer, got True"),
+            (TrainConfig, {"local_epochs": 1.5}, "local_epochs must be an integer, got 1.5"),
+            (partial(DistributionSpec, "D1"), {"num_clients": 2.5},
+             "num_clients must be an integer, got 2.5"),
+            (partial(DistributionSpec, "D1"), {"samples_per_client": True},
+             "samples_per_client must be an integer, got True"),
+            (partial(DistributionSpec, "D1"), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+            (partial(DistributionSpec, "D1"), {"imbalance": (2.5, 0.1)},
+             "imbalance minority count must be an integer, got 2.5"),
+            (partial(DistributionSpec, "D1"), {"imbalance": (True, 0.1)},
+             "imbalance minority count must be an integer, got True"),
+            (partial(ExperimentConfig, "cat_cost"), {"seed": 2.5},
+             "seed must be an integer, got 2.5"),
+            (partial(ExperimentConfig, "cat_cost"), {"seed": True},
+             "seed must be an integer, got True"),
+        ],
+        ids=[
+            "train-batch_size-float", "train-local_epochs-bool", "train-local_epochs-float",
+            "spec-num_clients-float", "spec-samples_per_client-bool", "spec-seed-float",
+            "spec-imbalance-float", "spec-imbalance-bool", "experiment-seed-float",
+            "experiment-seed-bool",
+        ],
+    )
+    def test_library_configs_refuse_non_integer_counts(self, make, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(**overrides)
 
     def test_values_on_the_domain_edges_are_accepted(self):
         cfg = parse_config(

@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -25,14 +24,13 @@ from catfed.partitions import (
     _kept_rows,
     generate_partition_from_labels,
     kind_bounds,
-    load_partition,
     partition_stats,
     save_partition,
-    validate_partition,
 )
 from catfed.selection import CategoryMask, build_mask
 from catfed.seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
-from conftest import make_dataset, make_pair
+from conftest import assert_export_matches, make_dataset, make_pair
+from oracles import validate_partition
 
 
 def dataset_for(kind: str, num_clients=100, samples_per_client=40, seed=0):
@@ -353,12 +351,8 @@ class TestExport:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "part.txt"
             save_partition(part, path)
-            loaded = load_partition(path, labels)
-        assert loaded.spec == spec
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.assignments, part.assignments))
-        assert loaded.masks == part.masks
-        assert np.array_equal(loaded.category_presence, part.category_presence)
-        assert validate_partition(loaded, labels) == []
+            assert_export_matches(path, part, labels)
+        assert validate_partition(part, labels) == []
 
     def test_round_trip_reproduces_masks(self, tmp_path):
         ds = dataset_for("D1")
@@ -369,16 +363,7 @@ class TestExport:
         part = generate_partition(spec, ds)
         path = tmp_path / "part.txt"
         save_partition(part, path)
-
-        loaded = load_partition(path, ds.labels)
-        assert loaded.spec == spec
-        assert loaded.masks == part.masks
-        assert loaded.num_categories == part.num_categories
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(loaded.assignments, part.assignments)
-        )
-        assert np.array_equal(loaded.category_presence, part.category_presence)
+        assert_export_matches(path, part, ds.labels)
 
     def test_export_format(self, tmp_path):
         ds = dataset_for("D1")
@@ -398,135 +383,6 @@ class TestExport:
             prefix, _, rest = lines[j + 1].partition(":")
             assert int(prefix) == j
             assert len(rest.split()) == 10
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text("0: 1 2 3\n")
-        with pytest.raises(ValueError, match="header"):
-            load_partition(path, np.zeros(4, dtype=int))
-
-
-GOOD_HEADER = (
-    "# catfed-partition kind=D1 num_clients=2 samples_per_client=3 seed=0 "
-    "num_categories=10 imbalance=none"
-)
-
-
-class TestExportRejections:
-    """A bad export is refused with a ValueError naming the file and line."""
-
-    LABELS = np.arange(10)
-
-    def load(self, tmp_path, header=GOOD_HEADER, second="1: 3 4 5"):
-        path = tmp_path / "part.txt"
-        path.write_text(f"{header}\n0: 0 1 2\n{second}\n", encoding="utf-8")
-        return path, lambda: load_partition(path, self.LABELS)
-
-    def test_hand_written_export_loads(self, tmp_path):
-        _, load = self.load(tmp_path)
-        part = load()
-        assert [a.tolist() for a in part.assignments] == [[0, 1, 2], [3, 4, 5]]
-
-    @pytest.mark.parametrize(
-        "second, line, message",
-        [
-            ("1: 3 -1 5", 3, r"sample index -1 outside \[0, 10\)"),
-            ("1: 3 4 10", 3, r"sample index 10 outside \[0, 10\)"),
-            ("1: 3 4", 3, "client 1 has 2 samples, header says samples_per_client=3"),
-            ("7: 3 4 5", 3, "client 7, expected client 1"),
-            ("1: 3 four 5", 3, "invalid literal"),
-            ("1: 3 ٤ 5", 3, "not an ASCII numeral: '٤'"),
-            ("1: 3 4 0_5", 3, "not an ASCII numeral: '0_5'"),
-            ("١: 3 4 5", 3, "not an ASCII numeral: '١'"),
-        ],
-        ids=["negative-index", "index-past-end", "sample-count", "client-order", "token",
-             "arabic-indic-index", "underscore-index", "arabic-indic-client"],
-    )
-    def test_bad_client_line(self, tmp_path, second, line, message):
-        path, load = self.load(tmp_path, second=second)
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:{line}: {message}"):
-            load()
-
-    def test_num_categories_below_labels(self, tmp_path):
-        header = GOOD_HEADER.replace("num_categories=10", "num_categories=9")
-        path, load = self.load(tmp_path, header=header)
-        with pytest.raises(
-            ValueError,
-            match=f"{re.escape(str(path))}:1: num_categories=9, but the labels reach category 9",
-        ):
-            load()
-
-    def test_num_categories_above_labels(self, tmp_path):
-        header = GOOD_HEADER.replace("num_categories=10", "num_categories=1000000000000000")
-        path, load = self.load(tmp_path, header=header)
-        with pytest.raises(
-            ValueError,
-            match=f"{re.escape(str(path))}:1: num_categories=1000000000000000, but the labels "
-            "reach category 9",
-        ):
-            load()
-
-    def test_blank_lines_between_clients_are_skipped(self, tmp_path):
-        path, load = self.load(tmp_path, second="\n  \n1: 3 4 5\n")
-        assert [a.tolist() for a in load().assignments] == [[0, 1, 2], [3, 4, 5]]
-
-    def test_missing_header_field(self, tmp_path):
-        path, load = self.load(tmp_path, header=GOOD_HEADER.replace(" seed=0", ""))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: header lacks seed"):
-            load()
-
-    @pytest.mark.parametrize(
-        "extra, message",
-        [
-            (" kind=D6", "duplicate field 'kind'"),
-            (" seed=7", "duplicate field 'seed'"),
-            (" bogus=1", "unknown field 'bogus'"),
-            (" noequals", "header item 'noequals' is not name=value"),
-        ],
-        ids=["repeated-kind", "repeated-seed", "unknown", "no-equals"],
-    )
-    def test_repeated_or_unknown_header_field(self, tmp_path, extra, message):
-        path, load = self.load(tmp_path, header=GOOD_HEADER + extra)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
-            load()
-
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("num_clients", "٢", "not an ASCII numeral: '٢'"),
-            ("seed", "0_0", "not an ASCII numeral: '0_0'"),
-            ("samples_per_client", "٣", "not an ASCII numeral: '٣'"),
-            ("num_categories", "1_0", "not an ASCII numeral: '1_0'"),
-            ("imbalance", "٢:0.5", "imbalance must be none or k:r, got '٢:0.5'"),
-            ("imbalance", "1:2:3", "imbalance must be none or k:r, got '1:2:3'"),
-        ],
-        ids=["arabic-indic-count", "underscore-seed", "arabic-indic-samples",
-             "underscore-categories", "arabic-indic-imbalance", "three-part-imbalance"],
-    )
-    def test_bad_header_value_names_the_field(self, tmp_path, field, value, message):
-        header = re.sub(rf" {field}=\S+", f" {field}={value}", GOOD_HEADER)
-        path, load = self.load(tmp_path, header=header)
-        expected = f"^{re.escape(str(path))}:1: bad value for '{field}': {re.escape(message)}$"
-        with pytest.raises(ValueError, match=expected):
-            load()
-
-    def test_imbalance_count_below_num_categories(self, tmp_path):
-        # Generation refuses k >= num_categories; so does the export reader.
-        for count in (10, 11):
-            header = GOOD_HEADER.replace("imbalance=none", f"imbalance={count}:0.5")
-            path, load = self.load(tmp_path, header=header)
-            message = rf"^{re.escape(str(path))}:1: minority count must be in \[0, 10\), got {count}$"
-            with pytest.raises(ValueError, match=message):
-                load()
-        path, load = self.load(tmp_path, header=GOOD_HEADER.replace("=none", "=9:0.5"))
-        assert load().spec.imbalance == (9, 0.5)
-
-    def test_non_utf8_byte_names_the_line(self, tmp_path):
-        path, load = self.load(tmp_path)
-        path.write_bytes(path.read_bytes().replace(b"1: 3", b"1: \xff"))
-        message = rf"^{re.escape(str(path))}:3: not valid UTF-8 \(byte 0xff\)$"
-        with pytest.raises(ValueError, match=message):
-            load()
 
 
 def reference_draw_samples(client_categories, labels, samples_per_client, num_categories,
@@ -682,29 +538,3 @@ class TestReferenceTranscription:
         with pytest.raises(GenerationError, match="dataset holds no samples of category 3"):
             generate_partition_from_labels(spec, labels, 10)
         assert_matches_reference(spec, labels, 10)
-
-
-GOOD_EXPORT = f"{GOOD_HEADER}\n0: 0 1 2\n1: 3 4 5\n".encode("utf-8")
-
-
-@st.composite
-def spliced_exports(draw):
-    """GOOD_EXPORT with one slice replaced by arbitrary bytes or digits."""
-    lo = draw(st.integers(0, len(GOOD_EXPORT)))
-    hi = draw(st.integers(lo, len(GOOD_EXPORT)))
-    patch = draw(st.binary(max_size=12) | st.integers().map(lambda n: str(n).encode()))
-    return GOOD_EXPORT[:lo] + patch + GOOD_EXPORT[hi:]
-
-
-@settings(max_examples=400, deadline=None)
-@given(data=st.binary(max_size=200) | spliced_exports())
-def test_arbitrary_export_bytes_load_or_name_the_file_property(data):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "part.txt"
-        path.write_bytes(data)
-        try:
-            part = load_partition(path, TestExportRejections.LABELS)
-        except ValueError as exc:
-            assert str(exc).startswith(f"{path}:")
-        else:
-            assert part.num_clients == part.spec.num_clients

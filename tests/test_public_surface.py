@@ -71,3 +71,31 @@ def test_all_resolves_and_is_the_whole_namespace():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == set(catfed.__all__)
+
+
+def test_every_package_definition_has_a_caller_outside_the_tests():
+    """A top-level def or class in the package that only tests name is
+    test-only code: it belongs in the tests, or nowhere."""
+    package = sorted((ROOT / "src" / "catfed").glob("*.py"))
+    callers = [
+        *package,
+        *sorted((ROOT / "demos").glob("*.py")),
+        *sorted((ROOT / "perfbench").rglob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    named = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unused = [
+        f"{path.name}: {node.name}"
+        for path in package
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    ]
+    assert unused == []
