@@ -181,8 +181,9 @@ def _require_category_strategy(config: RunConfig, command: str) -> None:
 def cmd_sweep_n(config_path: str, n_values: list[int]) -> int:
     config = load_config(config_path)
     _require_category_strategy(config, "sweep-n")
-    if config.limit is not None:
-        raise ValueError(f"{config_path}: limit has no effect under sweep-n (--n sets N)")
+    for key in ("limit", "mode"):
+        if getattr(config, key) is not None:
+            raise ValueError(f"{config_path}: {key} has no effect under sweep-n (--n sets N)")
     root = resolve_data_root(config)
     train, test = _load_pair(config, root)
     # One partition and one seed shared by every N so the sweep isolates N.
@@ -234,7 +235,8 @@ def cmd_trace_selection(config_path: str) -> int:
     root = resolve_data_root(config)
     train = load_dataset(DatasetSpec(config.dataset, "train", root))
     partition = generate_partition(config.distribution_spec(), train)
-    sel = SelectionConfig(train.num_categories, config.mode, config.limit)
+    experiment = config.experiment_config()
+    sel = SelectionConfig(train.num_categories, experiment.mode, experiment.limit)
     for line in trace_selection(list(partition.masks), sel, config.strategy):
         print(line)
     return 0

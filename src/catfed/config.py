@@ -7,6 +7,9 @@ silently running defaults or failing later.  A value is checked as its line
 is read, by a RunConfig that sets only that key: the library config that takes
 the value (DistributionSpec, ExperimentConfig, TrainConfig, CostModel) checks
 its domain, and RunConfig itself checks only the four keys that none takes.
+A written key that the strategy never reads is refused with its line too:
+``mode`` and ``limit`` under ``fedavg_random``, ``client_fraction`` under a
+category strategy, and ``mode`` when ``limit`` is set.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .costs import CostModel
-from .errors import ConfigError, _parse_float, _parse_int
+from .errors import ConfigError, _parse_float, _parse_int, _require_int
 from .federation import ExperimentConfig
 from .network import TrainConfig
 from .partitions import DistributionSpec, parse_imbalance
+from .selection import Mode
 
 # Hidden-layer widths per dataset; input is the pixel count and the output
 # width is the class count, so only the middle of the net varies.
@@ -37,7 +41,7 @@ class RunConfig:
     data_root: str | None = None
     distribution: str = "D1"
     strategy: str = "cat_performance"
-    mode: str = "B"
+    mode: str | None = None  # unset reads as B
     limit: int | None = None
     client_fraction: float = 0.1
     rounds: int = 50
@@ -54,15 +58,16 @@ class RunConfig:
     output: str = "results.csv"
 
     def __post_init__(self) -> None:
-        for key, ok, domain in (
-            ("dataset", self.dataset in ARCHITECTURES, f"one of {sorted(ARCHITECTURES)}"),
-            ("data_root", self.data_root != "", "a non-empty path or none"),
-            ("seeds", self.seeds >= 1, ">= 1"),
-            ("output", self.output != "", "a non-empty path"),
-        ):
-            if not ok:
-                raise ConfigError(f"{key} must be {domain}, got {getattr(self, key)!r}")
         try:
+            _require_int("seeds", self.seeds)
+            for key, ok, domain in (
+                ("dataset", self.dataset in ARCHITECTURES, f"one of {sorted(ARCHITECTURES)}"),
+                ("data_root", self.data_root != "", "a non-empty path or none"),
+                ("seeds", self.seeds >= 1, ">= 1"),
+                ("output", self.output != "", "a non-empty path"),
+            ):
+                if not ok:
+                    raise ValueError(f"{key} must be {domain}, got {getattr(self, key)!r}")
             self.distribution_spec()
             self.experiment_config()
         except ValueError as exc:
@@ -82,7 +87,7 @@ class RunConfig:
             strategy=self.strategy,
             rounds=self.rounds,
             client_fraction=self.client_fraction,
-            mode=self.mode,
+            mode=Mode.B if self.mode is None else self.mode,
             limit=self.limit,
             hidden=ARCHITECTURES[self.dataset],
             train=TrainConfig(
@@ -126,8 +131,21 @@ _KEYS = {
 assert set(_KEYS) == {f.name for f in fields(RunConfig)}
 
 
+def _inert_keys(config: RunConfig) -> dict[str, str]:
+    """The keys that ``config``'s strategy and limit leave unread, each with
+    the reason: the random baseline draws without the cap, the category
+    strategies take no fraction, and an explicit limit wins over the mode."""
+    if config.strategy == "fedavg_random":
+        return dict.fromkeys(("mode", "limit"), f"with strategy {config.strategy}")
+    inert = {"client_fraction": f"with strategy {config.strategy}"}
+    if config.limit is not None:
+        inert["mode"] = "when limit is set"
+    return inert
+
+
 def parse_config(text: str) -> RunConfig:
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -145,7 +163,13 @@ def parse_config(text: str) -> RunConfig:
             RunConfig(**{key: values[key]})
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return RunConfig(**values)
+        lines[key] = lineno
+    config = RunConfig(**values)
+    inert = _inert_keys(config)
+    for key, lineno in lines.items():
+        if key in inert:
+            raise ConfigError(f"line {lineno}: {key} has no effect {inert[key]}")
+    return config
 
 
 def load_config(path) -> RunConfig:

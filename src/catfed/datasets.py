@@ -6,6 +6,8 @@ File layout under a root directory follows ``<name>-<split>-images.idx`` and
 unsigned bytes.  Images stay as those bytes: a loaded split holds read-only,
 C-contiguous uint8 rows of 784 pixels, 8x smaller than float64, and the
 network reads a uint8 row as pixel / 255 (see ``network._Workspace``).
+uint8 pixels and float64 features are the network's two row encodings; a
+``LabeledDataset`` of any other dtype is refused, naming the dataset.
 
 A split is a view of a read-only mapping of its file: the header's count is
 checked against the file's size, then the payload is mapped, not copied, so
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import glob
+import math
 import mmap
 import os
 import struct
@@ -46,8 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataConsistencyError, DataFormatError
-from .selection import _category_ids
+from .errors import DataConsistencyError, DataFormatError, _category_ids, _require_row_encoding
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -101,9 +103,9 @@ class DatasetSpec:
 class LabeledDataset:
     """Paired (num_samples x features) images and integer labels.
 
-    ``load_dataset`` fills ``images`` with uint8 IDX pixels; float64 feature
-    rows are accepted too.  The network reads either kind (uint8 as
-    pixel / 255), so the rows are never converted up front.
+    ``images`` holds rows in one of the network's two encodings: uint8
+    pixels (what ``load_dataset`` fills), read as pixel / 255, or float64
+    features, read as they are.  Any other dtype is refused.
     """
 
     images: np.ndarray
@@ -129,6 +131,7 @@ class LabeledDataset:
                 f"{self.labels.shape[0]} labels"
             )
         try:
+            _require_row_encoding("images", self.images)
             _category_ids(self.labels, self.num_categories)
         except ValueError as exc:
             raise DataConsistencyError(f"{self.name}: {exc}") from exc
@@ -141,82 +144,62 @@ class LabeledDataset:
         return np.bincount(self.labels, minlength=self.num_categories)
 
 
-def _read_header(f, path, magic_expected: int, n_dims: int) -> tuple[int, ...]:
-    raw = f.read(4 * (1 + n_dims))
-    if len(raw) < 4 * (1 + n_dims):
-        raise DataFormatError(f"{path}: truncated header")
-    values = struct.unpack(f">{1 + n_dims}i", raw)
-    if values[0] != magic_expected:
-        raise DataFormatError(
-            f"{path}: bad magic 0x{values[0] & 0xFFFFFFFF:08x}, "
-            f"expected 0x{magic_expected:08x}"
-        )
-    return values[1:]
+def _map_idx(f, path, magic: int, item_dims: tuple[int, ...], what: str) -> np.ndarray:
+    """The items of the open IDX file ``f``, as a read-only ``(count, item
+    bytes)`` uint8 view of a read-only mapping of the file.
 
-
-def _check_payload(f, path, count: int, item_bytes: int, what: str) -> None:
-    """Refuse a header ``count`` that is negative or does not fill the rest of
-    ``f`` with ``count`` items of ``item_bytes`` bytes.
-
-    The count is checked against the file's size before anything is read or
-    mapped, so a corrupt count is refused rather than trusted.
+    The header's magic and item dimensions must be ``magic`` and
+    ``item_dims``, and its count of ``what`` must fill the rest of the file
+    exactly: a corrupt count is refused from the file's size before anything
+    is mapped.  The view's ``base`` is the mapping, which stays open while the
+    view is alive.
     """
+    layout = f">{2 + len(item_dims)}i"
+    header = struct.calcsize(layout)
+    raw = f.read(header)
+    if len(raw) < header:
+        raise DataFormatError(f"{path}: truncated header")
+    found, count, *dims = struct.unpack(layout, raw)
+    if found != magic:
+        raise DataFormatError(
+            f"{path}: bad magic 0x{found & 0xFFFFFFFF:08x}, expected 0x{magic:08x}"
+        )
+    if tuple(dims) != item_dims:  # only image files have item dimensions
+        size, wanted = ("x".join(map(str, d)) for d in (dims, item_dims))
+        raise DataFormatError(f"{path}: image size {size} != {wanted}")
     if count < 0:
         raise DataFormatError(f"{path}: header promises a negative count of {what}: {count}")
+    item_bytes = math.prod(item_dims)
     expected = count * item_bytes
-    available = os.fstat(f.fileno()).st_size - f.tell()
+    available = os.fstat(f.fileno()).st_size - header
     if available != expected:
         raise DataFormatError(
             f"{path}: payload holds {available} bytes, header promises "
             f"{expected} ({count} {what})"
         )
-
-
-def _map_payload(f, path, count: int, item_bytes: int) -> np.ndarray:
-    """The ``count`` items of ``item_bytes`` bytes left in ``f`` (checked by
-    ``_check_payload``), as a read-only ``(count, item_bytes)`` uint8 view of a
-    read-only mapping of the file.
-
-    The view's ``base`` is the mapping, which stays open while the view is alive.
-    """
-    offset = f.tell()
     try:
         mapping = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError) as exc:
         raise DataFormatError(f"{path}: cannot map the file: {exc}") from exc
-    return np.ndarray((count, item_bytes), dtype=np.uint8, buffer=mapping, offset=offset)
-
-
-def _image_count(f, path) -> int:
-    """Check the header and size of the open IDX image file ``f``; return its
-    image count, leaving ``f`` at the first pixel."""
-    n, rows, cols = _read_header(f, path, IMAGE_MAGIC, 3)
-    if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
-        raise DataFormatError(
-            f"{path}: image size {rows}x{cols} != {IMAGE_SIDE}x{IMAGE_SIDE}"
-        )
-    _check_payload(f, path, n, IMAGE_PIXELS, "images")
-    return n
+    return np.ndarray((count, item_bytes), dtype=np.uint8, buffer=mapping, offset=header)
 
 
 def load_idx_images(path) -> np.ndarray:
     """The (n, 784) uint8 pixels of an IDX image file, as they are stored.
 
     The result is a read-only view of a read-only mapping of the file (see
-    ``_map_payload``); nothing is copied.
+    ``_map_idx``); nothing is copied.
     """
     path = Path(path)
     with open(path, "rb") as f:
-        return _map_payload(f, path, _image_count(f, path), IMAGE_PIXELS)
+        return _map_idx(f, path, IMAGE_MAGIC, (IMAGE_SIDE, IMAGE_SIDE), "images")
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Parse an IDX label file into an int64 vector, converted from its mapping."""
     path = Path(path)
     with open(path, "rb") as f:
-        (n,) = _read_header(f, path, LABEL_MAGIC, 1)
-        _check_payload(f, path, n, 1, "labels")
-        return _map_payload(f, path, n, 1).reshape(n).astype(np.int64)
+        return _map_idx(f, path, LABEL_MAGIC, (), "labels")[:, 0].astype(np.int64)
 
 
 def _gone(pid: int) -> bool:
@@ -368,19 +351,12 @@ def load_dataset(spec: DatasetSpec) -> LabeledDataset:
     """
     path = spec.images_path()
     with open(path, "rb") as f:
-        count = _image_count(f, path)
-        transposed = spec.name in TRANSPOSED_DATASETS
-        pixels = None if transposed else _map_payload(f, path, count, IMAGE_PIXELS)
+        pixels = _map_idx(f, path, IMAGE_MAGIC, (IMAGE_SIDE, IMAGE_SIDE), "images")
         labels = load_idx_labels(spec.labels_path())
-        if count != labels.shape[0]:
+        if len(pixels) != len(labels):
             raise DataConsistencyError(
-                f"{spec.name}/{spec.split}: {count} images vs {labels.shape[0]} labels"
+                f"{spec.name}/{spec.split}: {len(pixels)} images vs {len(labels)} labels"
             )
-        if transposed:
-            pixels = _row_major_images(f, path, count)
-    return LabeledDataset(
-        images=pixels,
-        labels=labels,
-        num_categories=spec.num_categories,
-        name=spec.name,
-    )
+        if spec.name in TRANSPOSED_DATASETS:
+            pixels = _row_major_images(f, path, len(pixels))
+    return LabeledDataset(pixels, labels, spec.num_categories, spec.name)

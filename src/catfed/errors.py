@@ -1,7 +1,9 @@
 """Exception types shared across the simulator, and the number readers and
-checks that the file formats and configs share."""
+checks that the file formats, configs and label arrays share."""
 
 import numbers
+
+import numpy as np
 
 
 class DataFormatError(ValueError):
@@ -45,3 +47,29 @@ def _require_int(name: str, value) -> None:
     used as it stands, and ``True`` as 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _category_ids(labels, num_categories: int) -> np.ndarray:
+    """``labels`` as a flat integer array, every id checked to be in range.
+
+    Non-integer labels are refused rather than truncated; the range error
+    names the first bad label in input order.  An empty input passes.
+    """
+    ids = np.asarray(labels).ravel()
+    if ids.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= num_categories:
+        first = ids[np.argmax((ids < 0) | (ids >= num_categories))]
+        raise ValueError(f"category {first} out of range [0, {num_categories})")
+    return ids.astype(np.intp, copy=False)
+
+
+def _require_row_encoding(name: str, rows: np.ndarray) -> None:
+    """Refuse rows in neither of the network's two encodings: uint8 pixels,
+    read as pixel / 255, and float64 features, read as they are."""
+    if rows.dtype != np.uint8 and rows.dtype != np.float64:
+        raise ValueError(
+            f"{name} must be uint8 pixels or float64 features, got dtype {rows.dtype}"
+        )

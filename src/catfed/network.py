@@ -1,8 +1,9 @@
 """Dense feed-forward classifier trained with plain SGD.
 
-Float64 arithmetic, ReLU hidden layers, softmax output.  Input rows may be
-uint8 IDX pixels, read as pixel / 255, or any other numeric rows, read as
-float64.  ModelParams holds read-only arrays.
+Float64 arithmetic, ReLU hidden layers, softmax output.  Input rows come in
+two encodings: uint8 IDX pixels, read as pixel / 255, and float64 features,
+read as they are; every entry point refuses any other dtype by name rather
+than copying the rows into one of these.  ModelParams holds read-only arrays.
 
 Every entry point runs the network through one ``_Workspace``: buffers for
 the float64 input rows, each layer's output, the backward deltas and the
@@ -25,8 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import _require_int
-from .selection import _category_ids
+from .errors import _category_ids, _require_int, _require_row_encoding
 
 PROB_FLOOR = 1e-12  # clamp before log so empty-probability classes stay finite
 
@@ -123,6 +123,7 @@ def _check_rows(model: ModelParams, batch: np.ndarray) -> np.ndarray:
             f"batch shape {batch.shape} incompatible with input width "
             f"{model.weights[0].shape[1]}"
         )
+    _require_row_encoding("rows", batch)
     return batch
 
 
@@ -189,9 +190,8 @@ class _Workspace:
         if rows.dtype == np.float64:
             return rows
         x = _view(self.x, rows.shape)
-        np.copyto(x, rows, casting="unsafe")
-        if rows.dtype == np.uint8:
-            x /= 255.0
+        np.copyto(x, rows)
+        x /= 255.0
         return x
 
     def gather(self, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -363,8 +363,6 @@ def train_clients(
     """
     images = _check_rows(model, images)
     labels = _check_labels(model, labels, images.shape[0])
-    if images.dtype != np.uint8:
-        images = images.astype(np.float64, copy=False)
     if len(rngs) != len(members):
         raise ValueError(f"{len(members)} members but {len(rngs)} generators")
     sizes = [len(index) for index in members]

@@ -49,9 +49,9 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import GenerationError, _parse_float, _parse_int, _require_int
+from .errors import GenerationError, _category_ids, _parse_float, _parse_int, _require_int
 from .seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
-from .selection import CategoryMask, _category_ids, _mask_bits
+from .selection import CategoryMask, _mask_bits
 
 KINDS = tuple(f"D{i}" for i in range(1, 11))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _require_int
+from .errors import _category_ids, _require_int
 
 MODE_A_LIMIT = 10
 
@@ -60,23 +60,6 @@ class CategoryMask:
 
     def categories(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.num_categories) if self.bits >> i & 1)
-
-
-def _category_ids(labels, num_categories: int) -> np.ndarray:
-    """``labels`` as a flat integer array, every id checked to be in range.
-
-    Non-integer labels are refused rather than truncated; the range error
-    names the first bad label in input order.  An empty input passes.
-    """
-    ids = np.asarray(labels).ravel()
-    if ids.size == 0:
-        return np.zeros(0, dtype=np.intp)
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got dtype {ids.dtype}")
-    if ids.min() < 0 or ids.max() >= num_categories:
-        first = ids[np.argmax((ids < 0) | (ids >= num_categories))]
-        raise ValueError(f"category {first} out of range [0, {num_categories})")
-    return ids.astype(np.intp, copy=False)
 
 
 def _mask_bits(present: np.ndarray) -> int:

@@ -124,7 +124,7 @@ def generate_split(
     return images, labels
 
 
-def write_fixture(name: str, root, seed: int = 0, force: bool = False) -> dict[str, Path]:
+def write_fixture(name: str, root, seed: int = 0) -> dict[str, Path]:
     """Write the four IDX files for ``name`` under ``root``; skips existing ones."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -134,7 +134,7 @@ def write_fixture(name: str, root, seed: int = 0, force: bool = False) -> dict[s
         images_path, labels_path = spec.images_path(), spec.labels_path()
         paths[f"{split}_images"] = images_path
         paths[f"{split}_labels"] = labels_path
-        if not force and images_path.exists() and labels_path.exists():
+        if images_path.exists() and labels_path.exists():
             continue
         images, labels = generate_split(name, split, seed)
         write_idx_images(images_path, images)

@@ -184,6 +184,13 @@ class TestSweepN:
             f"error: {cfg}: limit has no effect under sweep-n (--n sets N)\n"
         )
 
+    def test_sweep_refuses_a_written_mode(self, tmp_path, data_root, capsys):
+        cfg = write_config(tmp_path, data_root, strategy="cat_cost", mode="B")
+        assert main(["sweep-n", str(cfg), "--n", "1-2"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: mode has no effect under sweep-n (--n sets N)\n"
+        )
+
     def test_parse_n_values(self):
         assert _parse_n_values("1,3,5-7") == [1, 3, 5, 6, 7]
         assert _parse_n_values("4") == [4]
@@ -273,6 +280,11 @@ class TestInspectAndTrace:
         assert "client" in out
         assert "covered 10/10 categories" in out
 
+    def test_trace_selection_reads_the_written_limit(self, tmp_path, data_root, capsys):
+        cfg = write_config(tmp_path, data_root, strategy="cat_cost", limit=3)
+        assert main(["trace-selection", str(cfg)]) == 0
+        assert "strategy=cat_cost num_categories=10 limit=3\n" in capsys.readouterr().out
+
     def test_trace_rejects_random_strategy(self, tmp_path, data_root, capsys):
         cfg = write_config(tmp_path, data_root, strategy="fedavg_random")
         assert main(["trace-selection", str(cfg)]) == 1
@@ -307,6 +319,14 @@ class TestErrors:
         assert main(["run", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(
             f"error: {cfg}: line 2: bad value for 'strategy': strategy must be one of "
+        )
+
+    def test_run_refuses_a_key_the_strategy_ignores(self, tmp_path, data_root, capsys):
+        # Line 10 sets the strategy, line 11 the limit it never reads.
+        cfg = write_config(tmp_path, data_root, strategy="fedavg_random", limit=3)
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 11: limit has no effect with strategy fedavg_random\n"
         )
 
     def test_non_utf8_config_names_file_and_line(self, tmp_path, capsys):

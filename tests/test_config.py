@@ -31,14 +31,14 @@ class TestParsing:
         # Floats as repr writes them: shortest round-trip digits and exponents.
         cfg = parse_config(
             "dataset = femnist47\n"
-            "client_fraction = 0.30000000000000004\n"
+            "client_cost = 0.30000000000000004\n"
             "learning_rate = 1e-05\n"
             "server_cost = 1.5\n"
             "limit = 12\n"
             "data_root = /tmp/data\n"
         )
         assert cfg.dataset == "femnist47"
-        assert cfg.client_fraction == 0.1 + 0.2
+        assert cfg.client_cost == 0.1 + 0.2
         assert cfg.learning_rate == 1e-5
         assert cfg.server_cost == 1.5
         assert cfg.limit == 12
@@ -150,6 +150,7 @@ class TestValidation:
             {"rounds": 0}, {"batch_size": 0}, {"local_epochs": -1}, {"client_cost": -2.0},
             {"client_fraction": 2.0}, {"limit": 0}, {"imbalance": (4, 1.5)}, {"seed": -3},
             {"learning_rate": float("inf")}, {"limit": 2.5}, {"rounds": 2.5},
+            {"seeds": 2.5}, {"seeds": True},
         ],
     )
     def test_direct_construction_checks_the_same_domains(self, overrides):
@@ -188,13 +189,43 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make(**overrides)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("strategy = fedavg_random\nseed = 1\nrounds = 5\nlimit = 3\n",
+             "line 4: limit has no effect with strategy fedavg_random"),
+            ("mode = A\nstrategy = fedavg_random\n",
+             "line 1: mode has no effect with strategy fedavg_random"),
+            ("strategy = cat_cost\nclient_fraction = 0.2\n",
+             "line 2: client_fraction has no effect with strategy cat_cost"),
+            ("client_fraction = 0.2\n",
+             "line 1: client_fraction has no effect with strategy cat_performance"),
+            ("strategy = cat_cost\nlimit = 4\nmode = A\n",
+             "line 3: mode has no effect when limit is set"),
+        ],
+        ids=["random-limit", "random-mode", "cost-fraction", "performance-fraction",
+             "mode-under-limit"],
+    )
+    def test_key_the_strategy_ignores_names_line_and_key(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(text)
+
+    def test_keys_the_strategy_reads_are_accepted(self):
+        random = parse_config("strategy = fedavg_random\nclient_fraction = 0.2\n")
+        assert random.client_fraction == 0.2
+        assert parse_config("strategy = cat_cost\nmode = A\nlimit = none\n").mode == "A"
+        assert parse_config("strategy = cat_cost\nlimit = 4\n").limit == 4
+
     def test_values_on_the_domain_edges_are_accepted(self):
+        # client_fraction is read by the random baseline only, limit by the
+        # category strategies only.
         cfg = parse_config(
-            "client_fraction = 1.0\nlearning_rate = 0.0\nseed = 0\nclient_cost = 0.0\n"
-            "imbalance = 0:0.5\nlimit = 1\nrounds = 1\n"
+            "strategy = fedavg_random\nclient_fraction = 1.0\nlearning_rate = 0.0\nseed = 0\n"
+            "client_cost = 0.0\nimbalance = 0:0.5\nrounds = 1\n"
         )
-        assert (cfg.client_fraction, cfg.learning_rate, cfg.limit, cfg.rounds) == (1.0, 0.0, 1, 1)
+        assert (cfg.client_fraction, cfg.learning_rate, cfg.rounds) == (1.0, 0.0, 1)
         assert cfg.distribution_spec().imbalance is None
+        assert parse_config("limit = 1\n").limit == 1
 
 
 class TestDerivedConfigs:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catfed import evaluate, init_model, loss_and_grad
+from catfed import DataConsistencyError, LabeledDataset, evaluate, init_model, loss_and_grad
 from catfed.network import (
     COHORT,
     EVAL_CHUNK_ROWS,
@@ -566,6 +566,38 @@ def test_non_integer_labels_refused(entry, labels, dtype):
     }
     with pytest.raises(ValueError, match=f"labels must be integers, got dtype {dtype}"):
         calls[entry]()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int64"])
+@pytest.mark.parametrize("entry", ["evaluate", "loss_and_grad", "train_clients", "client_update"])
+def test_rows_in_neither_encoding_refused(entry, dtype):
+    # Rows are uint8 pixels or float64 features; any other dtype would need a
+    # float64 copy of the whole array, so it is refused by name instead.
+    model = init_model([3, 2], np.random.default_rng(0))
+    x = np.zeros((2, 3), dtype=dtype)
+    labels = np.array([0, 1])
+    calls = {
+        "evaluate": lambda: evaluate(model, x, labels),
+        "loss_and_grad": lambda: loss_and_grad(model, x, labels),
+        "train_clients": lambda: train_clients(
+            model, x, labels, [np.arange(2)], TrainConfig(),
+            [np.random.default_rng(0)], lambda *_: None,
+        ),
+        "client_update": lambda: client_update(
+            model, x, labels, TrainConfig(), np.random.default_rng(0)
+        ),
+    }
+    message = f"rows must be uint8 pixels or float64 features, got dtype {dtype}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int64"])
+def test_labeled_dataset_refuses_rows_in_neither_encoding(dtype):
+    # Refused where the dataset is built, naming it, not in every later round.
+    message = f"toy: images must be uint8 pixels or float64 features, got dtype {dtype}"
+    with pytest.raises(DataConsistencyError, match=f"^{message}$"):
+        LabeledDataset(np.zeros((2, 3), dtype=dtype), np.array([0, 1]), 2, "toy")
 
 
 def test_relu_gate_matches_np_where_including_nan():

@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catfed.datasets import DATASET_CLASSES, DatasetSpec, load_dataset
+from catfed.datasets import (
+    DATASET_CLASSES,
+    DatasetSpec,
+    load_dataset,
+    write_idx_images,
+    write_idx_labels,
+)
 from catfed.synthetic import (
     FIXTURE_COUNTS,
     class_prototypes,
@@ -113,12 +119,16 @@ class TestDeterminismAndFiles:
 
     def test_write_fixture_skips_existing(self, tmp_path):
         paths = write_fixture("mnist", tmp_path, seed=0)
+        written = paths["test_labels"].read_bytes()
         marker = b"sentinel"
         paths["test_labels"].write_bytes(marker)
         write_fixture("mnist", tmp_path, seed=0)
         assert paths["test_labels"].read_bytes() == marker
-        write_fixture("mnist", tmp_path, seed=0, force=True)
-        assert paths["test_labels"].read_bytes() != marker
+        # A split is rewritten from its generator through the IDX writers.
+        images, labels = generate_split("mnist", "test", seed=0)
+        write_idx_images(paths["test_images"], images)
+        write_idx_labels(paths["test_labels"], labels)
+        assert paths["test_labels"].read_bytes() == written
 
 
 def test_mnist_fixture_matches_the_recorded_hashes(tmp_path):
