@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .costs import CostModel
-from .errors import ConfigError, _parse_float, _parse_int, _require_int
+from .errors import ConfigError, _parse_float, _parse_int, _require_count
 from .federation import ExperimentConfig
 from .network import TrainConfig
 from .partitions import DistributionSpec, parse_imbalance
@@ -42,28 +42,27 @@ class RunConfig:
     distribution: str = "D1"
     strategy: str = "cat_performance"
     mode: str | None = None  # unset reads as B
-    limit: int | None = None
-    client_fraction: float = 0.1
-    rounds: int = 50
-    learning_rate: float = 0.003
-    batch_size: int = 32
-    local_epochs: int = 1
-    num_clients: int = 100
-    samples_per_client: int = 600
-    seed: int = 0
-    client_cost: float = 1.0
-    server_cost: float = 0.0
-    imbalance: tuple[int, float] | None = None
+    limit: int | None = ExperimentConfig.limit
+    client_fraction: float = ExperimentConfig.client_fraction
+    rounds: int = ExperimentConfig.rounds
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    local_epochs: int = TrainConfig.local_epochs
+    num_clients: int = DistributionSpec.num_clients
+    samples_per_client: int = DistributionSpec.samples_per_client
+    seed: int = ExperimentConfig.seed
+    client_cost: float = CostModel.client_cost
+    server_cost: float = CostModel.server_cost
+    imbalance: tuple[int, float] | None = DistributionSpec.imbalance
     seeds: int = 1
     output: str = "results.csv"
 
     def __post_init__(self) -> None:
         try:
-            _require_int("seeds", self.seeds)
+            _require_count("seeds", self.seeds, 1)
             for key, ok, domain in (
                 ("dataset", self.dataset in ARCHITECTURES, f"one of {sorted(ARCHITECTURES)}"),
                 ("data_root", self.data_root != "", "a non-empty path or none"),
-                ("seeds", self.seeds >= 1, ">= 1"),
                 ("output", self.output != "", "a non-empty path"),
             ):
                 if not ok:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import _require_count, _require_number
 from .network import EvalReport
 
 
@@ -28,13 +29,13 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for name, value in (("client_cost", self.client_cost), ("server_cost", self.server_cost)):
+            _require_number(name, value)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 def round_cost(model: CostModel, num_selected: int) -> float:
-    if num_selected < 0:
-        raise ValueError(f"num_selected must be >= 0, got {num_selected}")
+    _require_count("num_selected", num_selected, 0)
     return num_selected * model.client_cost + model.server_cost
 
 
@@ -52,6 +53,7 @@ class CostLedger:
 
     def record(self, num_selected: int, samples_seen: int) -> tuple[float, float]:
         """Log one round; returns (round cost, cumulative cost)."""
+        _require_count("samples_seen", samples_seen, 0)
         cost = round_cost(self.model, num_selected)
         self._cumulative += cost
         self._data_seen += int(samples_seen)

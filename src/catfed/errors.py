@@ -1,8 +1,6 @@
 """Exception types shared across the simulator, and the number readers and
 checks that the file formats, configs and label arrays share."""
 
-import numbers
-
 import numpy as np
 
 
@@ -42,11 +40,21 @@ def _parse_float(raw: str) -> float:
     return float(_ascii(raw))
 
 
-def _require_int(name: str, value) -> None:
-    """Refuse a float or a bool where a count is expected: ``2.5`` would be
-    used as it stands, and ``True`` as 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def _require_count(name: str, value, least: int) -> None:
+    """Refuse anything but an integer ``>= least`` where a count is expected:
+    a float ``2.5`` would be used as it stands, and ``True`` as 1.  Concrete
+    types, not ``numbers.Integral``: its ABC check costs ~1 us, and every
+    partition builds a CategoryMask per client."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _require_number(name: str, value) -> None:
+    """Refuse a bool or a non-number where a real is expected; callers check the interval."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _category_ids(labels, num_categories: int) -> np.ndarray:

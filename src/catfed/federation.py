@@ -29,13 +29,14 @@ bit-for-bit regardless of execution order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costs import CostLedger, CostModel
 from .datasets import LabeledDataset
-from .errors import RoundError, _require_int
+from .errors import RoundError, _require_count, _require_number
 from .network import (
     Diverged,
     ModelParams,
@@ -82,23 +83,23 @@ class ExperimentConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.limit is not None:
-            _require_int("limit", self.limit)
-            if self.limit < 1:
-                raise ValueError(f"limit must be >= 1 or none, got {self.limit}")
-        _require_int("rounds", self.rounds)
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+            _require_count("limit", self.limit, 1)
+        _require_count("rounds", self.rounds, 1)
+        _require_number("client_fraction", self.client_fraction)
         if not 0.0 < self.client_fraction <= 1.0:
             raise ValueError(
                 f"client_fraction must be in (0, 1], got {self.client_fraction}"
             )
+        if not isinstance(self.hidden, Sequence):
+            raise ValueError(f"hidden must be a sequence of widths, got {self.hidden!r}")
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         for width in self.hidden:
-            _require_int("hidden width", width)
-        if not all(h > 0 for h in self.hidden):
-            raise ValueError(f"hidden widths must be positive, got {self.hidden}")
-        _require_int("seed", self.seed)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            _require_count("hidden width", width, 1)
+        if not isinstance(self.train, TrainConfig):
+            raise ValueError(f"train must be a TrainConfig, got {self.train!r}")
+        if not isinstance(self.cost, CostModel):
+            raise ValueError(f"cost must be a CostModel, got {self.cost!r}")
+        _require_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

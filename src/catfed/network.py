@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import _category_ids, _require_int, _require_row_encoding
+from .errors import _category_ids, _require_count, _require_number, _require_row_encoding
 
 PROB_FLOOR = 1e-12  # clamp before log so empty-probability classes stay finite
 
@@ -45,16 +45,13 @@ class TrainConfig:
     local_epochs: int = 1
 
     def __post_init__(self) -> None:
+        _require_number("learning_rate", self.learning_rate)
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate must be a finite number >= 0, got {self.learning_rate}"
             )
-        _require_int("batch_size", self.batch_size)
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        _require_int("local_epochs", self.local_epochs)
-        if self.local_epochs < 1:
-            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
+        _require_count("batch_size", self.batch_size, 1)
+        _require_count("local_epochs", self.local_epochs, 1)
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,10 @@ class EvalReport:
 
 def init_model(architecture: list[int], rng: np.random.Generator) -> ModelParams:
     """Uniform fan-in-scaled weights (bound sqrt(6/fan_in)), zero biases."""
-    if len(architecture) < 2 or any(int(n) < 1 for n in architecture):
-        raise ValueError(f"architecture needs >= 2 positive widths, got {architecture}")
+    if len(architecture) < 2:
+        raise ValueError(f"architecture needs >= 2 widths, got {architecture}")
+    for width in architecture:
+        _require_count("architecture width", width, 1)
     weights = []
     biases = []
     for fan_in, fan_out in zip(architecture[:-1], architecture[1:]):

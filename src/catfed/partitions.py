@@ -49,7 +49,9 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import GenerationError, _category_ids, _parse_float, _parse_int, _require_int
+from .errors import (
+    GenerationError, _category_ids, _parse_float, _parse_int, _require_count, _require_number
+)
 from .seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
 from .selection import CategoryMask, _mask_bits
 
@@ -89,18 +91,17 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        for name in ("num_clients", "samples_per_client"):
-            _require_int(name, getattr(self, name))
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        _require_int("seed", self.seed)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _require_count("num_clients", self.num_clients, 1)
+        _require_count("samples_per_client", self.samples_per_client, 1)
+        _require_count("seed", self.seed, 0)
         if self.imbalance is not None:
+            if not (isinstance(self.imbalance, tuple) and len(self.imbalance) == 2):
+                raise ValueError(
+                    f"imbalance must be none or a (count, ratio) tuple, got {self.imbalance!r}"
+                )
             minority_count, ratio = self.imbalance
-            _require_int("imbalance minority count", minority_count)
-            if minority_count < 0:
-                raise ValueError(f"minority count must be >= 0, got {minority_count}")
+            _require_count("imbalance minority count", minority_count, 0)
+            _require_number("imbalance ratio", ratio)
             if not 0.0 < ratio < 1.0:
                 raise ValueError(f"imbalance ratio must be in (0, 1), got {ratio}")
             if minority_count == 0:

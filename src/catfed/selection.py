@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _category_ids, _require_int
+from .errors import _category_ids, _require_count
 
 MODE_A_LIMIT = 10
 
@@ -45,9 +45,9 @@ class CategoryMask:
     num_categories: int
 
     def __post_init__(self) -> None:
-        if self.num_categories < 1:
-            raise ValueError(f"num_categories must be >= 1, got {self.num_categories}")
-        if self.bits < 0 or self.bits >> self.num_categories:
+        _require_count("num_categories", self.num_categories, 1)
+        _require_count("bits", self.bits, 0)
+        if self.bits >> self.num_categories:
             raise ValueError(
                 f"bits 0x{self.bits:x} do not fit in {self.num_categories} categories"
             )
@@ -92,12 +92,9 @@ class SelectionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", Mode(self.mode))
-        if self.num_categories < 1:
-            raise ValueError(f"num_categories must be >= 1, got {self.num_categories}")
+        _require_count("num_categories", self.num_categories, 1)
         if self.limit is not None:
-            _require_int("limit", self.limit)
-            if self.limit < 1:
-                raise ValueError(f"limit must be positive, got {self.limit}")
+            _require_count("limit", self.limit, 1)
 
 
 def resolve_limit(config: SelectionConfig) -> int:
@@ -163,8 +160,9 @@ def select_random(
     reads them only to report the coverage the random pick happened to get.
     """
     width = _check_masks(masks)
-    if not 1 <= k <= len(masks):
-        raise ValueError(f"k={k} must be in [1, {len(masks)}]")
+    _require_count("k", k, 1)
+    if k > len(masks):
+        raise ValueError(f"k must be <= {len(masks)}, the client count, got {k}")
     selected = tuple(int(j) for j in rng.choice(len(masks), size=k, replace=False))
     return SelectionResult(
         selected=selected, coverage=_union_coverage(masks, selected, width)

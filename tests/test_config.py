@@ -6,17 +6,109 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catfed import ConfigError, DistributionSpec, ExperimentConfig, Mode
+from catfed import (
+    ConfigError,
+    CostLedger,
+    CostModel,
+    DistributionSpec,
+    ExperimentConfig,
+    Mode,
+    SelectionConfig,
+    init_model,
+)
 from catfed.config import (
     ARCHITECTURES,
     RunConfig,
     load_config,
     parse_config,
 )
+from catfed.costs import round_cost
 from catfed.network import TrainConfig
+from catfed.selection import CategoryMask, select_random
+
+# Each kind of numeric setting, as its refusal words it, and the values it
+# must refuse, with their id tags.
+COUNT, REAL = "an integer", "a number"
+_REFUSED = {COUNT: ((2.5, "float"), (True, "bool")), REAL: ((True, "bool"), ("0.5", "str"))}
+
+
+def _refusals(stem, make, field, kind, wrap=lambda value: value, name=None):
+    """``make(field=wrap(value))`` for each value ``kind`` refuses, and the
+    message of the ValueError it raises, which names ``name`` (the field by
+    default)."""
+    return [
+        pytest.param(make, {field: wrap(value)},
+                     f"{name or field} must be {kind}, got {value!r}", id=f"{stem}-{tag}")
+        for value, tag in _REFUSED[kind]
+    ]
+
+
+_SPEC = partial(DistributionSpec, "D1")
+_EXPERIMENT = partial(ExperimentConfig, "cat_cost")
+
+# Every count and real that a config or a cost, selection or init function
+# takes: a count refuses a float and a bool, a real a bool and a str.
+NUMERIC_REFUSALS = [
+    *_refusals("train-learning_rate", TrainConfig, "learning_rate", REAL),
+    *_refusals("train-batch_size", TrainConfig, "batch_size", COUNT),
+    *_refusals("train-local_epochs", TrainConfig, "local_epochs", COUNT),
+    *_refusals("cost-client_cost", CostModel, "client_cost", REAL),
+    *_refusals("cost-server_cost", CostModel, "server_cost", REAL),
+    *_refusals("experiment-rounds", _EXPERIMENT, "rounds", COUNT),
+    *_refusals("experiment-client_fraction", _EXPERIMENT, "client_fraction", REAL),
+    *_refusals("experiment-limit", _EXPERIMENT, "limit", COUNT),
+    *_refusals("experiment-hidden", _EXPERIMENT, "hidden", COUNT,
+               lambda width: (100, width), "hidden width"),
+    *_refusals("experiment-seed", _EXPERIMENT, "seed", COUNT),
+    *_refusals("spec-num_clients", _SPEC, "num_clients", COUNT),
+    *_refusals("spec-samples_per_client", _SPEC, "samples_per_client", COUNT),
+    *_refusals("spec-seed", _SPEC, "seed", COUNT),
+    *_refusals("spec-imbalance", _SPEC, "imbalance", COUNT,
+               lambda count: (count, 0.1), "imbalance minority count"),
+    *_refusals("spec-imbalance_ratio", _SPEC, "imbalance", REAL,
+               lambda ratio: (4, ratio), "imbalance ratio"),
+    *_refusals("selection-num_categories", SelectionConfig, "num_categories", COUNT),
+    *_refusals("selection-limit", partial(SelectionConfig, 5), "limit", COUNT),
+    *_refusals("mask-bits", partial(CategoryMask, num_categories=3), "bits", COUNT),
+    *_refusals("mask-num_categories", partial(CategoryMask, 1), "num_categories", COUNT),
+    *_refusals("run-limit", RunConfig, "limit", COUNT),
+    *_refusals("run-client_fraction", RunConfig, "client_fraction", REAL),
+    *_refusals("run-rounds", RunConfig, "rounds", COUNT),
+    *_refusals("run-learning_rate", RunConfig, "learning_rate", REAL),
+    *_refusals("run-batch_size", RunConfig, "batch_size", COUNT),
+    *_refusals("run-local_epochs", RunConfig, "local_epochs", COUNT),
+    *_refusals("run-num_clients", RunConfig, "num_clients", COUNT),
+    *_refusals("run-samples_per_client", RunConfig, "samples_per_client", COUNT),
+    *_refusals("run-seed", RunConfig, "seed", COUNT),
+    *_refusals("run-client_cost", RunConfig, "client_cost", REAL),
+    *_refusals("run-server_cost", RunConfig, "server_cost", REAL),
+    *_refusals("run-imbalance", RunConfig, "imbalance", COUNT,
+               lambda count: (count, 0.1), "imbalance minority count"),
+    *_refusals("run-imbalance_ratio", RunConfig, "imbalance", REAL,
+               lambda ratio: (4, ratio), "imbalance ratio"),
+    *_refusals("run-seeds", RunConfig, "seeds", COUNT),
+    *_refusals("round_cost-num_selected", partial(round_cost, CostModel()), "num_selected",
+               COUNT),
+    *_refusals("record-num_selected", partial(CostLedger(CostModel()).record, samples_seen=6),
+               "num_selected", COUNT),
+    *_refusals("record-samples_seen", partial(CostLedger(CostModel()).record, 3),
+               "samples_seen", COUNT),
+    *_refusals("select_random-k", partial(
+        select_random, [CategoryMask(1, 2), CategoryMask(2, 2)], rng=np.random.default_rng(0)
+    ), "k", COUNT),
+    *_refusals("init_model-architecture", partial(init_model, rng=np.random.default_rng(0)),
+               "architecture", COUNT, lambda width: [4, width, 3], "architecture width"),
+]
+
+# The configs whose int and float fields NUMERIC_REFUSALS must cover.
+NUMERIC_CONFIGS = (
+    TrainConfig, CostModel, ExperimentConfig, DistributionSpec, SelectionConfig, CategoryMask,
+    RunConfig,
+)
 
 
 class TestParsing:
@@ -105,7 +197,7 @@ class TestValidation:
         "key, raw, domain",
         [
             ("data_root", "", "a non-empty path or none"),
-            ("limit", "0", ">= 1 or none"),
+            ("limit", "0", ">= 1"),
             ("client_fraction", "0.0", r"in \(0, 1\]"),
             ("client_fraction", "1.5", r"in \(0, 1\]"),
             ("client_fraction", "nan", r"in \(0, 1\]"),
@@ -158,36 +250,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^{key}\b.* must be "):
             RunConfig(**overrides)
 
-    @pytest.mark.parametrize(
-        "make, overrides, message",
-        [
-            (TrainConfig, {"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
-            (TrainConfig, {"local_epochs": True}, "local_epochs must be an integer, got True"),
-            (TrainConfig, {"local_epochs": 1.5}, "local_epochs must be an integer, got 1.5"),
-            (partial(DistributionSpec, "D1"), {"num_clients": 2.5},
-             "num_clients must be an integer, got 2.5"),
-            (partial(DistributionSpec, "D1"), {"samples_per_client": True},
-             "samples_per_client must be an integer, got True"),
-            (partial(DistributionSpec, "D1"), {"seed": 1.5}, "seed must be an integer, got 1.5"),
-            (partial(DistributionSpec, "D1"), {"imbalance": (2.5, 0.1)},
-             "imbalance minority count must be an integer, got 2.5"),
-            (partial(DistributionSpec, "D1"), {"imbalance": (True, 0.1)},
-             "imbalance minority count must be an integer, got True"),
-            (partial(ExperimentConfig, "cat_cost"), {"seed": 2.5},
-             "seed must be an integer, got 2.5"),
-            (partial(ExperimentConfig, "cat_cost"), {"seed": True},
-             "seed must be an integer, got True"),
-        ],
-        ids=[
-            "train-batch_size-float", "train-local_epochs-bool", "train-local_epochs-float",
-            "spec-num_clients-float", "spec-samples_per_client-bool", "spec-seed-float",
-            "spec-imbalance-float", "spec-imbalance-bool", "experiment-seed-float",
-            "experiment-seed-bool",
-        ],
-    )
+    @pytest.mark.parametrize("make, overrides, message", NUMERIC_REFUSALS)
     def test_library_configs_refuse_non_integer_counts(self, make, overrides, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make(**overrides)
+
+    def test_every_numeric_config_field_has_refusals(self):
+        """A count or real added to a config without rows in NUMERIC_REFUSALS,
+        and so perhaps without a check, fails here."""
+        covered = {
+            (getattr(make, "func", make), field)
+            for make, overrides, _ in (case.values for case in NUMERIC_REFUSALS)
+            for field in overrides
+        }
+        missing = [
+            f"{config.__name__}.{f.name}"
+            for config in NUMERIC_CONFIGS
+            for f in dataclasses.fields(config)
+            if re.search(r"\b(int|float)\b", str(f.type)) and (config, f.name) not in covered
+        ]
+        assert missing == []
 
     @pytest.mark.parametrize(
         "text, message",

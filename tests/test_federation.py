@@ -270,7 +270,7 @@ class TestRunExperiment:
             ExperimentConfig(strategy="fedavg_random", client_fraction=0.0)
         with pytest.raises(ValueError, match="'C'"):
             ExperimentConfig(strategy="cat_cost", mode="C")
-        with pytest.raises(ValueError, match="limit must be >= 1 or none, got 0"):
+        with pytest.raises(ValueError, match="^limit must be >= 1, got 0$"):
             ExperimentConfig(strategy="cat_cost", limit=0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             ExperimentConfig(strategy="cat_cost", seed=-1)
@@ -283,6 +283,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"^hidden width must be an integer, got 2\.5$"):
             ExperimentConfig(strategy="cat_cost", hidden=(100, 2.5))
         assert ExperimentConfig(strategy="cat_cost", limit=np.int64(3), hidden=(np.intp(8),))
+        with pytest.raises(ValueError, match="^hidden must be a sequence of widths, got 100$"):
+            ExperimentConfig(strategy="cat_cost", hidden=100)
+        for field, kind in (("train", "TrainConfig"), ("cost", "CostModel")):
+            with pytest.raises(ValueError, match=f"^{field} must be a {kind}, got None$"):
+                ExperimentConfig(strategy="cat_cost", **{field: None})
+        # A list of widths is stored as a tuple, so the frozen config hashes.
+        listed = ExperimentConfig(strategy="cat_cost", hidden=[100])
+        assert listed.hidden == (100,)
+        assert hash(listed) == hash(ExperimentConfig(strategy="cat_cost", hidden=(100,)))
 
     def test_mode_value_caps_the_round_like_the_member(self):
         # Mode A caps a 47-category selection at 10 clients, whether the

@@ -165,6 +165,11 @@ class TestDeterminismAndEdges:
                 DistributionSpec(kind="D1", imbalance=(0, ratio))
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             DistributionSpec(kind="D1", seed=-1)
+        for imbalance in ("4:0.1", (4,), (4, 0.1, 2), [4, 0.1]):
+            with pytest.raises(
+                ValueError, match=rf"^imbalance must be none or a \(count, ratio\) tuple, got "
+            ):
+                DistributionSpec(kind="D1", imbalance=imbalance)
 
 
 class TestValidateReportsEachProblem:
