@@ -32,6 +32,8 @@ class CostModel:
             _require_number(name, value)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+            # A numpy real would reach the results CSV as np.float64(...).
+            object.__setattr__(self, name, float(value))
 
 
 def round_cost(model: CostModel, num_selected: int) -> float:

@@ -22,14 +22,16 @@ replacement from per-category pools, split as evenly as possible across each
 client's categories; exhausted pools fall back to drawing with replacement and
 the event is recorded.
 
-Both steps after that are array code.  The draw computes every (client,
-category) pair's quota and pool slice at once and fills a (clients, samples)
-index array with one gather; only the exhausted-pool pairs loop, in (client,
-category) order, so the random stream and the replacement events are those of
-a draw made pair by pair.  The masks are read off a (clients x categories)
-bincount table.  Both work in blocks of ``_BLOCK_ROWS`` sampled rows, so no
-index temporary grows with the partition.  A category's presence, the number
-of clients holding it, is the column sum of the masks.
+The fill writes one (clients x categories) bool table of who holds what:
+each client's mask is its row, and a category's presence, the number of
+clients holding it, is the column sum.  The draw reads its (client, category)
+pairs off the table in row-major order, computes every pair's quota and pool
+slice at once and fills a (clients, samples) index array with one gather, in
+blocks of ``_BLOCK_ROWS`` sampled rows so no index temporary grows with the
+partition; only the exhausted-pool pairs loop, in (client, category) order, so
+the random stream and the replacement events are those of a draw made pair by
+pair.  Labels are checked once on entry: a float, bool or out-of-range label
+is refused before anything is drawn.
 
 A spec's ``imbalance = (k, r)`` is the global class imbalance: before any of
 that, the k lowest category ids are shrunk to a fraction r of their rows,
@@ -104,8 +106,10 @@ class DistributionSpec:
             _require_number("imbalance ratio", ratio)
             if not 0.0 < ratio < 1.0:
                 raise ValueError(f"imbalance ratio must be in (0, 1), got {ratio}")
-            if minority_count == 0:
-                object.__setattr__(self, "imbalance", None)
+            # Python numbers, so the export header reads back through parse_imbalance.
+            object.__setattr__(
+                self, "imbalance", (int(minority_count), float(ratio)) if minority_count else None
+            )
 
 
 def parse_imbalance(raw: str) -> tuple[int, float] | None:
@@ -312,16 +316,16 @@ def _presence_profile(
 
 def _assign_categories(
     presence: np.ndarray, counts: np.ndarray, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Bipartite fill honoring per-category presence and per-client counts.
+) -> np.ndarray:
+    """Bipartite fill honoring per-category presence and per-client counts,
+    as the (clients, categories) table of who holds what.
 
     Categories are placed scarcest-first onto the clients with the largest
     remaining capacity (random tie-breaks), which realizes any feasible margin
     pair and naturally stacks rare categories on category-rich clients.
     """
-    num_clients = counts.size
     capacity = counts.astype(np.int64).copy()
-    members: list[list[int]] = [[] for _ in range(num_clients)]
+    held = np.zeros((counts.size, presence.size), dtype=bool)
     order = np.lexsort((np.arange(presence.size), presence))
     for c in order:
         need = int(presence[c])
@@ -333,19 +337,14 @@ def _assign_categories(
                 f"category {c} needs {need} clients, only {eligible.size} have capacity"
             )
         tie = rng.random(eligible.size)
-        ranked = eligible[np.lexsort((tie, -capacity[eligible]))]
-        for j in ranked[:need]:
-            members[int(j)].append(int(c))
-            capacity[j] -= 1
-    return [np.array(sorted(cats), dtype=np.int64) for cats in members]
+        chosen = eligible[np.lexsort((tie, -capacity[eligible]))][:need]
+        held[chosen, c] = True
+        capacity[chosen] -= 1
+    return held
 
 
 def _draw_samples(
-    client_categories: list[np.ndarray],
-    labels: np.ndarray,
-    samples_per_client: int,
-    num_categories: int,
-    rng: np.random.Generator,
+    held: np.ndarray, labels: np.ndarray, samples_per_client: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     """Each client's sample indices as one (clients, samples_per_client) array.
 
@@ -358,6 +357,7 @@ def _draw_samples(
     (client, category) order, so the random stream and the returned
     replacement events are the ones a per-pair loop makes.
     """
+    num_clients, num_categories = held.shape
     # Category c's permuted pool is pool_rows[bounds[c]:bounds[c + 1]].
     pool_rows = np.empty(labels.size, dtype=np.intp)
     bounds = np.zeros(num_categories + 1, dtype=np.intp)
@@ -370,12 +370,11 @@ def _draw_samples(
     sizes = np.diff(bounds)
 
     # One entry per (client, category) pair, in client order.
-    per_client = np.array([len(cats) for cats in client_categories])
-    cats = np.concatenate(client_categories)
+    owner, cats = np.nonzero(held)
     empty = np.flatnonzero(sizes[cats] == 0)
     if empty.size:
         raise GenerationError(f"dataset holds no samples of category {cats[empty[0]]}")
-    owner = np.repeat(np.arange(per_client.size), per_client)
+    per_client = np.count_nonzero(held, axis=1)
     position = np.arange(cats.size) - (np.cumsum(per_client) - per_client)[owner]
     base, rem = divmod(samples_per_client, per_client)
     quota = base[owner] + (position < rem[owner])
@@ -408,29 +407,7 @@ def _draw_samples(
             pool, size=short, replace=True
         )
         events.append((int(owner[p]), c, short))
-    return drawn.reshape(len(client_categories), samples_per_client), events
-
-
-def _masks(
-    assignments, labels: np.ndarray, num_categories: int
-) -> tuple[CategoryMask, ...]:
-    """Every client's mask under ``assignments``.
-
-    Each block of clients is one bincount of ``client * C + label`` read as a
-    (clients x C) table.  A label outside [0, C) raises build_mask's
-    ValueError, naming the first one in client order.
-    """
-    sizes = np.array([len(a) for a in assignments])
-    held = np.empty((sizes.size, num_categories), dtype=bool)
-    step = max(1, _BLOCK_ROWS // int(sizes.max(initial=1)))
-    for lo in range(0, sizes.size, step):
-        count = min(step, sizes.size - lo)
-        ids = _category_ids(labels[np.concatenate(assignments[lo : lo + count])],
-                            num_categories)
-        keys = ids + np.repeat(np.arange(count) * num_categories, sizes[lo : lo + count])
-        table = np.bincount(keys, minlength=count * num_categories)
-        held[lo : lo + count] = table.reshape(count, num_categories) > 0
-    return tuple(CategoryMask(_mask_bits(row), num_categories) for row in held)
+    return drawn.reshape(num_clients, samples_per_client), events
 
 
 def _kept_rows(
@@ -461,6 +438,7 @@ def generate_partition_from_labels(
     spec: DistributionSpec, labels: np.ndarray, num_categories: int
 ) -> ClientPartition:
     """Core generator; see generate_partition for the dataset-level entry point."""
+    labels = _category_ids(labels, num_categories)
     count_bounds, presence_bounds = kind_bounds(
         spec.kind, num_categories, spec.num_clients, spec.samples_per_client
     )
@@ -482,16 +460,12 @@ def generate_partition_from_labels(
                     presence_bounds[1],
                     rng,
                 )
-                client_categories = _assign_categories(presence, counts, rng)
+                held = _assign_categories(presence, counts, rng)
             else:
-                client_categories = [
-                    np.sort(rng.choice(num_categories, size=int(k), replace=False))
-                    for k in counts
-                ]
-            assignments, events = _draw_samples(
-                client_categories, pool_labels, spec.samples_per_client,
-                num_categories, rng,
-            )
+                held = np.zeros((spec.num_clients, num_categories), dtype=bool)
+                for j, k in enumerate(counts):
+                    held[j, rng.choice(num_categories, size=int(k), replace=False)] = True
+            assignments, events = _draw_samples(held, pool_labels, spec.samples_per_client, rng)
         except GenerationError as exc:
             last_error = str(exc)
             continue
@@ -501,7 +475,7 @@ def generate_partition_from_labels(
             spec=spec,
             num_categories=num_categories,
             assignments=tuple(assignments),
-            masks=_masks(assignments, labels, num_categories),
+            masks=tuple(CategoryMask(_mask_bits(row), num_categories) for row in held),
             replacement_events=tuple(events),
         )
     raise GenerationError(

@@ -241,8 +241,7 @@ class TestValidation:
         [
             {"rounds": 0}, {"batch_size": 0}, {"local_epochs": -1}, {"client_cost": -2.0},
             {"client_fraction": 2.0}, {"limit": 0}, {"imbalance": (4, 1.5)}, {"seed": -3},
-            {"learning_rate": float("inf")}, {"limit": 2.5}, {"rounds": 2.5},
-            {"seeds": 2.5}, {"seeds": True},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_direct_construction_checks_the_same_domains(self, overrides):

@@ -4,12 +4,18 @@ import pytest
 from catfed import (
     CostLedger,
     CostModel,
+    DistributionSpec,
+    ExperimentConfig,
     check_loss_decomposition,
     cumulative_cost,
     evaluate,
+    generate_partition,
     init_model,
+    run_experiment,
 )
+from catfed.cli import records_to_csv
 from catfed.costs import round_cost
+from conftest import make_pair
 
 
 class TestCostModel:
@@ -47,6 +53,21 @@ class TestCostModel:
                 CostModel(**{key: float("inf")})
         with pytest.raises(ValueError):
             round_cost(CostModel(), -2)
+
+    def test_numpy_reals_write_the_csv_of_python_floats(self):
+        # A numpy cost would reach the CSV's repr as np.float64(6.5).
+        model = CostModel(client_cost=np.float64(1.5), server_cost=np.float32(0.5))
+        assert (type(model.client_cost), type(model.server_cost)) == (float, float)
+        train, test = make_pair(train_samples=300, num_pixels=8)
+        spec = DistributionSpec(kind="D1", num_clients=10, samples_per_client=20)
+        part = generate_partition(spec, train)
+
+        def csv(client_cost):
+            config = ExperimentConfig(strategy="cat_cost", rounds=2, hidden=(4,),
+                                      cost=CostModel(client_cost=client_cost))
+            return records_to_csv(run_experiment(config, train, part, test).records)
+
+        assert csv(np.float64(1.5)) == csv(1.5)
 
 
 class TestLedger:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -24,11 +25,13 @@ from catfed.partitions import (
     _kept_rows,
     generate_partition_from_labels,
     kind_bounds,
+    parse_imbalance,
     partition_stats,
     save_partition,
 )
 from catfed.selection import CategoryMask, build_mask
 from catfed.seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
+from catfed.synthetic import FIXTURE_COUNTS
 from conftest import assert_export_matches, make_dataset, make_pair
 from oracles import validate_partition
 
@@ -212,7 +215,7 @@ class TestValidateReportsEachProblem:
         # Folding category 9 into 8 leaves 9 held by no client.
         part, labels = valid
         folded = np.minimum(labels, 8)
-        masks = partitions._masks(part.assignments, folded, 10)
+        masks = tuple(build_mask(folded[a], 10) for a in part.assignments)
         assert validate_partition(dataclasses.replace(part, masks=masks), folded) == [
             "category 9: presence 0 outside [3, 70]"
         ]
@@ -221,7 +224,7 @@ class TestValidateReportsEachProblem:
         # Reversing the category ids reverses the presence profile.
         part, labels = valid
         reversed_labels = 9 - labels
-        masks = partitions._masks(part.assignments, reversed_labels, 10)
+        masks = tuple(build_mask(reversed_labels[a], 10) for a in part.assignments)
         reversed_part = dataclasses.replace(part, masks=masks)
         assert validate_partition(reversed_part, reversed_labels) == [
             "D1 presence profile is not non-increasing"
@@ -336,6 +339,24 @@ class TestImbalance:
 ROUND_TRIP_LABELS = np.random.default_rng(0).permutation(np.repeat(np.arange(10), 60))
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (np.append(ROUND_TRIP_LABELS, 12), r"category 12 out of range \[0, 10\)"),
+        (np.append(ROUND_TRIP_LABELS, -1), r"category -1 out of range \[0, 10\)"),
+        (ROUND_TRIP_LABELS + 0.5, "labels must be integers, got dtype float64"),
+        (ROUND_TRIP_LABELS.astype(np.float64), "labels must be integers, got dtype float64"),
+        (ROUND_TRIP_LABELS % 2 == 1, "labels must be integers, got dtype bool"),
+    ],
+    ids=["above-range", "negative", "fractional-float", "integral-float", "bool"],
+)
+def test_labels_are_checked_on_entry(labels, message):
+    spec = DistributionSpec(kind="D6", num_clients=20, samples_per_client=10)
+    drawn = mock.patch.object(partitions, "_draw_samples", side_effect=AssertionError("drew"))
+    with drawn, pytest.raises(ValueError, match=f"^{message}$"):
+        generate_partition_from_labels(spec, labels, 10)
+
+
 class TestExport:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -369,6 +390,18 @@ class TestExport:
         path = tmp_path / "part.txt"
         save_partition(part, path)
         assert_export_matches(path, part, ds.labels)
+
+    def test_numpy_imbalance_is_stored_as_python_numbers(self, tmp_path):
+        # A numpy ratio would be written as np.float64(0.2), which
+        # parse_imbalance refuses.
+        spec = DistributionSpec(kind="D6", num_clients=3, samples_per_client=4,
+                                imbalance=(np.int64(3), np.float64(0.2)))
+        assert [type(x) for x in spec.imbalance] == [int, float]
+        save_partition(generate_partition_from_labels(spec, ROUND_TRIP_LABELS, 10),
+                       tmp_path / "part.txt")
+        header = (tmp_path / "part.txt").read_text().splitlines()[0]
+        assert header.endswith(" imbalance=3:0.2")
+        assert parse_imbalance(header.rpartition("=")[2]) == (3, 0.2)
 
     def test_export_format(self, tmp_path):
         ds = dataset_for("D1")
@@ -422,10 +455,31 @@ def reference_draw_samples(client_categories, labels, samples_per_client, num_ca
     return assignments, events
 
 
+def reference_assign_categories(presence, counts, rng):
+    """Reference: the category fill as per-client lists, one append per
+    (client, category) placement, each list sorted at the end."""
+    capacity = counts.astype(np.int64).copy()
+    members = [[] for _ in range(counts.size)]
+    for c in np.lexsort((np.arange(presence.size), presence)):
+        need = int(presence[c])
+        if need == 0:
+            continue
+        eligible = np.flatnonzero(capacity > 0)
+        if eligible.size < need:
+            raise GenerationError(
+                f"category {c} needs {need} clients, only {eligible.size} have capacity"
+            )
+        tie = rng.random(eligible.size)
+        for j in eligible[np.lexsort((tie, -capacity[eligible]))][:need]:
+            members[int(j)].append(int(c))
+            capacity[j] -= 1
+    return [np.array(sorted(cats), dtype=np.int64) for cats in members]
+
+
 def reference_partition(spec, labels, num_categories):
-    """Reference: generate_partition_from_labels with the per-chunk draw and
-    the per-label mask loop (one CategoryMask per client, presence counted
-    mask by mask)."""
+    """Reference: generate_partition_from_labels with the per-client list
+    fill, the per-chunk draw and the per-label mask loop (one CategoryMask
+    per client, presence counted mask by mask)."""
     count_bounds, presence_bounds = kind_bounds(
         spec.kind, num_categories, spec.num_clients, spec.samples_per_client
     )
@@ -440,7 +494,7 @@ def reference_partition(spec, labels, num_categories):
                 presence = partitions._presence_profile(
                     spec.kind, num_categories, int(counts.sum()), *presence_bounds, rng
                 )
-                client_categories = partitions._assign_categories(presence, counts, rng)
+                client_categories = reference_assign_categories(presence, counts, rng)
             else:
                 client_categories = [
                     np.sort(rng.choice(num_categories, size=int(k), replace=False))
@@ -521,7 +575,8 @@ def small_label_specs(draw):
 
 
 class TestReferenceTranscription:
-    """The array-form draw and masks give the per-chunk, per-label results."""
+    """The table fill, the array-form draw and the masks give the per-client
+    list, per-chunk and per-label results."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=small_label_specs(), block_rows=st.sampled_from([1, 7, 64, 1 << 13]))
@@ -543,3 +598,57 @@ class TestReferenceTranscription:
         with pytest.raises(GenerationError, match="dataset holds no samples of category 3"):
             generate_partition_from_labels(spec, labels, 10)
         assert_matches_reference(spec, labels, 10)
+
+
+# Label vectors shaped like the fixtures' test splits, shuffled once; they
+# are small enough that most cases exhaust some pools and draw replacements.
+PINNED_LABELS = {
+    len(counts): np.random.default_rng(0).permutation(
+        np.repeat(np.arange(len(counts)), counts)
+    )
+    for counts in (FIXTURE_COUNTS[name]["test"] for name in ("mnist", "femnist47", "kmnist49"))
+}
+
+# sha256 prefix, per kind, of every grid case's export text, mask bits and
+# replacement events, or of its error text where the case is infeasible.
+PINNED_DRAWS = {
+    "D1": "5977f65d5f3650d4",
+    "D2": "8d63edbdd772f59a",
+    "D3": "79bfa8da6c4ecd68",
+    "D4": "9cd578d5dbb1d357",
+    "D5": "dcfdb2732665c1c4",
+    "D6": "d74322c884e43af7",
+    "D7": "59600b347767dbbb",
+    "D8": "9e2a695d9f7ac1f7",
+    "D9": "b86226677a93110f",
+    "D10": "2d31e622e0b36b0c",
+}
+
+
+def pinned_cases(kind):
+    """(classes, clients, samples per client) triples: the range kinds on
+    their own class count, the fixed kinds on 10 classes and on 47 or 49."""
+    sizes = [(100, 600), (1000, 60), (7, 3)]
+    if kind in KIND_CLASSES:
+        return [(KIND_CLASSES[kind][0], *size) for size in sizes]
+    return [(10, *size) for size in sizes] + [(47 + 2 * (KINDS.index(kind) % 2), 100, 600)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_draw_is_pinned(kind, tmp_path):
+    digest = hashlib.sha256()
+    for num_categories, num_clients, samples_per_client in pinned_cases(kind):
+        for imbalance in (None, (3, 0.2)):
+            spec = DistributionSpec(kind, num_clients, samples_per_client, imbalance, seed=5)
+            try:
+                part = generate_partition_from_labels(
+                    spec, PINNED_LABELS[num_categories], num_categories
+                )
+            except GenerationError as exc:
+                digest.update(f"error {exc}\n".encode())
+                continue
+            save_partition(part, tmp_path / "part.txt")
+            digest.update((tmp_path / "part.txt").read_bytes())
+            digest.update(" ".join(f"{m.bits:x}" for m in part.masks).encode())
+            digest.update(repr(part.replacement_events).encode())
+    assert digest.hexdigest()[:16] == PINNED_DRAWS[kind]
