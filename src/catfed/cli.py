@@ -26,7 +26,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .datasets import DatasetSpec, LabeledDataset, load_dataset
 from .errors import _parse_int
-from .federation import ExperimentResult, RoundRecord, run_experiment
+from .federation import ExperimentResult, RoundRecord, run_experiment, run_round, train_rounds
 from .partitions import (
     ClientPartition,
     generate_partition,
@@ -193,9 +193,12 @@ def cmd_sweep_n(config_path: str, n_values: list[int]) -> int:
     rows = []
     smallest_full: int | None = None
     for n in n_values:
+        # Only the last round is reported, so only the last round is scored.
         exp = dataclasses.replace(config.experiment_config(), limit=n)
-        result = run_experiment(exp, train, partition, test)
-        last = result.records[-1]
+        rounds = train_rounds(exp, train, partition)
+        for _ in range(exp.rounds - 1):
+            next(rounds)
+        _, last = run_round(rounds, test)
         rows.append(
             f"{n},{last.selected_k},{last.categories_covered},"
             f"{last.accuracy!r},{last.cumulative_cost!r}"

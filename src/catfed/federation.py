@@ -1,12 +1,14 @@
 """Round-based federated averaging with pluggable client selection.
 
-One experiment runs R rounds against a fixed client partition.  Every round:
-the server reads the partition's category masks (position j is client j),
-the strategy picks a subset of positions, each selected client runs local
-SGD from the current global weights on its own samples, and the server
-replaces the global model with the sample-count-weighted average of the
-returned weights.  The global model is then scored on the held-out test set
-and the round is logged together with its communication cost.
+One experiment runs R rounds against a fixed client partition.  The server
+reads the partition's category masks (position j is client j) and the
+strategy picks a subset of positions; the category strategies read only the
+masks, so they pick once, before round 1.  Every round, each selected client
+runs local SGD from the current global weights on its own samples, and the
+server replaces the global model with the sample-count-weighted average of
+the returned weights.  ``train_rounds``, the one round loop, yields each
+round's model and record before evaluation; ``run_round`` scores the next
+round on the held-out test set, so ``sweep-n`` can score only its last.
 
 Local training runs in cohorts (``network.train_clients``): up to
 ``network.COHORT`` consecutive selected clients, in ascending id, with the
@@ -23,14 +25,15 @@ clients it selects, and the result is the same bits as
 
 Everything is driven by one experiment seed.  Model init, the random
 baseline's draws, and each client's shuffling use independent streams derived
-from (seed, stream tag, round, client id), so results are reproducible
-bit-for-bit regardless of execution order.
+from (seed, stream tag, round, client id), so at one BLAS thread count the
+results are reproducible bit-for-bit regardless of execution order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+import math
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -175,73 +178,71 @@ def _fedavg_k(fraction: float, num_clients: int) -> int:
     return max(int(np.floor(fraction * num_clients + 0.5)), 1)
 
 
-def _select(
-    config: ExperimentConfig,
-    masks: tuple[CategoryMask, ...],
-    num_categories: int,
-    round_index: int,
-) -> SelectionResult:
+def _selector(
+    config: ExperimentConfig, masks: tuple[CategoryMask, ...], num_categories: int
+) -> Callable[[int], SelectionResult]:
+    """Each round's selection by round index; a category strategy reads only
+    the masks, so it selects once, here."""
     if config.strategy == "fedavg_random":
-        k = min(_fedavg_k(config.client_fraction, len(masks)), len(masks))
-        rng = derive_rng(config.seed, STREAM_SELECTION, round_index)
-        return select_random(masks, k, rng)
-    sel = SelectionConfig(num_categories, config.mode, config.limit)
-    if config.strategy == "cat_performance":
-        return select_performance(masks, sel)
-    return select_cost(masks, sel)
+        k = _fedavg_k(config.client_fraction, len(masks))
+        return lambda r: select_random(masks, k, derive_rng(config.seed, STREAM_SELECTION, r))
+    select = select_performance if config.strategy == "cat_performance" else select_cost
+    result = select(masks, SelectionConfig(num_categories, config.mode, config.limit))
+    if result.count == 0:
+        raise RoundError("round 1: selection came back empty")
+    return lambda r: result
+
+
+def train_rounds(
+    config: ExperimentConfig,
+    train_dataset: LabeledDataset,
+    partition: ClientPartition,
+) -> Iterator[tuple[ModelParams, RoundRecord]]:
+    """The round loop: train ``config.rounds`` rounds, yielding each new
+    global model and its record before it is scored, so the record's
+    ``accuracy`` and ``test_loss`` are NaN (``run_round`` fills them in)."""
+    select = _selector(config, partition.masks, train_dataset.num_categories)
+    architecture = [train_dataset.images.shape[1], *config.hidden, train_dataset.num_categories]
+    model = init_model(architecture, derive_rng(config.seed, STREAM_MODEL_INIT))
+    ledger = CostLedger(config.cost)
+    for round_index in range(1, config.rounds + 1):
+        result = select(round_index)
+        selected = tuple(sorted(result.selected))
+        indices = [partition.assignments[j] for j in selected]
+        sizes = [len(idx) for idx in indices]
+        # Each update is folded in as its client finishes, so a round holds the
+        # running average and one cohort's models, not one update per client.
+        coefs = _coefficients(sizes)
+        average = _RunningAverage()
+        try:
+            train_clients(
+                model, train_dataset.images, train_dataset.labels, indices, config.train,
+                [derive_rng(config.seed, STREAM_CLIENT_UPDATE, round_index, j) for j in selected],
+                lambda i, weights, biases: average.add(coefs[i], weights, biases),
+            )
+        except Diverged as exc:
+            raise RoundError(
+                f"round {round_index}, client {selected[exc.member]}: "
+                f"training diverged: {exc}"
+            ) from exc
+        model = average.result()
+        del average  # frees the fold's scratch before the round is scored
+        round_cost, cumulative = ledger.record(result.count, sum(sizes))
+        yield model, RoundRecord(
+            round_index=round_index, strategy=config.strategy, selected=selected,
+            categories_covered=result.covered_count(), accuracy=math.nan, test_loss=math.nan,
+            round_cost=round_cost, cumulative_cost=cumulative, data_seen=ledger.total_data_seen,
+        )
 
 
 def run_round(
-    config: ExperimentConfig,
-    model: ModelParams,
-    partition: ClientPartition,
-    train_dataset: LabeledDataset,
-    test_dataset: LabeledDataset,
-    ledger: CostLedger,
-    round_index: int,
+    rounds: Iterator[tuple[ModelParams, RoundRecord]], test_dataset: LabeledDataset
 ) -> tuple[ModelParams, RoundRecord]:
-    result = _select(config, partition.masks, train_dataset.num_categories, round_index)
-    if result.count == 0:
-        raise RoundError(f"round {round_index}: selection came back empty")
-    selected = tuple(sorted(result.selected))
-    indices = [partition.assignments[j] for j in selected]
-    sizes = [len(idx) for idx in indices]
-
-    # Each update is folded in as its client finishes, so a round holds the
-    # running average and one cohort's models, not one update per client.
-    coefs = _coefficients(sizes)
-    average = _RunningAverage()
-    try:
-        train_clients(
-            model,
-            train_dataset.images,
-            train_dataset.labels,
-            indices,
-            config.train,
-            [derive_rng(config.seed, STREAM_CLIENT_UPDATE, round_index, j) for j in selected],
-            lambda i, weights, biases: average.add(coefs[i], weights, biases),
-        )
-    except Diverged as exc:
-        raise RoundError(
-            f"round {round_index}, client {selected[exc.member]}: "
-            f"training diverged: {exc}"
-        ) from exc
-    new_model = average.result()
-    report = evaluate(new_model, test_dataset.images, test_dataset.labels)
-
-    round_cost, cumulative = ledger.record(result.count, sum(sizes))
-    record = RoundRecord(
-        round_index=round_index,
-        strategy=config.strategy,
-        selected=selected,
-        categories_covered=result.covered_count(),
-        accuracy=report.accuracy,
-        test_loss=report.total_loss,
-        round_cost=round_cost,
-        cumulative_cost=cumulative,
-        data_seen=ledger.total_data_seen,
-    )
-    return new_model, record
+    """Train the next round of ``rounds`` and score its model on the test
+    split: one call is one whole round, selection to record."""
+    model, record = next(rounds)
+    report = evaluate(model, test_dataset.images, test_dataset.labels)
+    return model, replace(record, accuracy=report.accuracy, test_loss=report.total_loss)
 
 
 def run_experiment(
@@ -261,14 +262,9 @@ def run_experiment(
         raise RoundError(
             f"train/test row widths differ: {width} != {test_dataset.images.shape[1]}"
         )
-    architecture = [width, *config.hidden, train_dataset.num_categories]
-    model = init_model(architecture, derive_rng(config.seed, STREAM_MODEL_INIT))
-    ledger = CostLedger(config.cost)
-
+    rounds = train_rounds(config, train_dataset, partition)
     records: list[RoundRecord] = []
-    for round_index in range(1, config.rounds + 1):
-        model, record = run_round(
-            config, model, partition, train_dataset, test_dataset, ledger, round_index
-        )
+    for _ in range(config.rounds):
+        model, record = run_round(rounds, test_dataset)
         records.append(record)
     return ExperimentResult(config=config, records=tuple(records), model=model)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests on a tiny on-disk dataset, and the demo scripts."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -11,7 +12,13 @@ import numpy as np
 import pytest
 
 import catfed
-from catfed import DatasetSpec, DistributionSpec, generate_partition, load_dataset
+from catfed import (
+    DatasetSpec,
+    DistributionSpec,
+    generate_partition,
+    load_dataset,
+    run_experiment,
+)
 from catfed.cli import (
     CSV_HEADER,
     SWEEP_HEADER,
@@ -19,6 +26,7 @@ from catfed.cli import (
     main,
     records_to_csv,
 )
+from catfed.config import load_config
 from catfed.datasets import write_idx_images, write_idx_labels
 from catfed.federation import RoundRecord
 from conftest import assert_export_matches, make_pair
@@ -169,6 +177,31 @@ class TestSweepN:
         firsts = [n for n, c in zip(range(1, 13), covered) if c == 10]
         assert n_star == firsts[0]
         assert "smallest_full_coverage_n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("strategy", ["cat_cost", "cat_performance"])
+    def test_sweep_rows_are_the_last_record_of_a_run(self, tmp_path, data_root, capsys,
+                                                     strategy):
+        # Three rounds, so a row scored from any round but the last would show.
+        out = tmp_path / "sweep.csv"
+        cfg = write_config(tmp_path, data_root, output=out, strategy=strategy, rounds=3)
+        assert main(["sweep-n", str(cfg), "--n", "1-4"]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("N=")]
+
+        config = load_config(cfg)
+        train, test = (load_dataset(DatasetSpec("mnist", s, data_root))
+                       for s in ("train", "test"))
+        partition = generate_partition(config.distribution_spec(), train)
+        rows, lines = [SWEEP_HEADER], []
+        for n in range(1, 5):
+            exp = dataclasses.replace(config.experiment_config(), limit=n)
+            last = run_experiment(exp, train, partition, test).records[-1]
+            rows.append(f"{n},{last.selected_k},{last.categories_covered},"
+                        f"{last.accuracy!r},{last.cumulative_cost!r}")
+            lines.append(f"N={n}: selected {last.selected_k}, covered "
+                         f"{last.categories_covered}, accuracy {last.accuracy:.4f}")
+        assert out.read_text(encoding="utf-8").splitlines() == rows
+        assert printed == lines
 
     def test_sweep_rejects_random_strategy(self, tmp_path, data_root, capsys):
         cfg = write_config(

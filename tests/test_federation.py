@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from catfed import (
-    CostLedger,
     DistributionSpec,
     ExperimentConfig,
     LabeledDataset,
@@ -17,9 +16,15 @@ from catfed import (
     run_experiment,
 )
 from catfed import federation
-from catfed.federation import _coefficients, _fedavg_k, _RunningAverage, run_round
+from catfed.federation import (
+    _coefficients,
+    _fedavg_k,
+    _RunningAverage,
+    run_round,
+    train_rounds,
+)
 from catfed.network import COHORT, ModelParams, TrainConfig, client_update
-from catfed.seeding import STREAM_CLIENT_UPDATE, derive_rng
+from catfed.seeding import STREAM_CLIENT_UPDATE, STREAM_MODEL_INIT, derive_rng
 from catfed.selection import CategoryMask
 from conftest import make_dataset, make_pair, make_partition
 
@@ -33,6 +38,19 @@ def small_setup(strategy="cat_performance", kind="D1", **overrides):
         hidden=(16,), seed=overrides.pop("seed", 5), **overrides,
     )
     return config, train, part, test
+
+
+def record_calls(monkeypatch, calls, *names):
+    """Wrap each ``federation.<name>`` so that a call appends its name to
+    ``calls`` before running."""
+    def wrap(name, inner):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(federation, name, wrap(name, getattr(federation, name)))
 
 
 def fold(models, coefs):
@@ -107,16 +125,15 @@ class TestStreamedRound:
     def test_round_equals_summed_products_of_the_updates_bitwise(self):
         sizes = [37, 5, 64, 20, 11, 50]
         train, test, part = round_inputs(sizes)
-        config = ExperimentConfig(strategy="fedavg_random", client_fraction=1.0, seed=4)
-        model = init_model([784, 16, 10], np.random.default_rng(1))
-        new_model, record = run_round(
-            config, model, part, train, test, CostLedger(config.cost), round_index=2,
-        )
+        config = ExperimentConfig(strategy="fedavg_random", client_fraction=1.0,
+                                  hidden=(16,), seed=4)
+        model = init_model([784, 16, 10], derive_rng(config.seed, STREAM_MODEL_INIT))
+        new_model, record = run_round(train_rounds(config, train, part), test)
         assert record.selected == tuple(range(len(sizes)))
         updates = [
             client_update(
                 model, train.images[idx], train.labels[idx], config.train,
-                derive_rng(config.seed, STREAM_CLIENT_UPDATE, 2, j),
+                derive_rng(config.seed, STREAM_CLIENT_UPDATE, 1, j),
             )
             for j, idx in enumerate(part.assignments)
         ]
@@ -130,16 +147,15 @@ class TestStreamedRound:
         # cohort of one: every update is the one client_update gives alone.
         sizes = [20] * (COHORT + 1) + [7, 7, 20]
         train, test, part = round_inputs(sizes, seed=3)
-        config = ExperimentConfig(strategy="fedavg_random", client_fraction=1.0, seed=9)
-        model = init_model([784, 16, 10], np.random.default_rng(2))
-        new_model, record = run_round(
-            config, model, part, train, test, CostLedger(config.cost), round_index=3,
-        )
+        config = ExperimentConfig(strategy="fedavg_random", client_fraction=1.0,
+                                  hidden=(16,), seed=9)
+        model = init_model([784, 16, 10], derive_rng(config.seed, STREAM_MODEL_INIT))
+        new_model, record = run_round(train_rounds(config, train, part), test)
         assert record.selected == tuple(range(len(sizes)))
         updates = [
             client_update(
                 model, train.images[idx], train.labels[idx], config.train,
-                derive_rng(config.seed, STREAM_CLIENT_UPDATE, 3, j),
+                derive_rng(config.seed, STREAM_CLIENT_UPDATE, 1, j),
             )
             for j, idx in enumerate(part.assignments)
         ]
@@ -153,17 +169,17 @@ class TestStreamedRound:
         # trains 40 clients peaks within three model sizes of one that
         # trains 4 (holding every update would add 36).
         train, test, part = round_inputs([20] * 40)
-        model = init_model([784, 100, 10], np.random.default_rng(1))
+        model = init_model([784, 100, 10], derive_rng(0, STREAM_MODEL_INIT))
         model_bytes = sum(a.nbytes for a in model.weights + model.biases)
 
         def round_peak(fraction):
-            config = ExperimentConfig(strategy="fedavg_random", client_fraction=fraction)
-            args = (config, model, part, train, test)
-            run_round(*args, CostLedger(config.cost), 1)  # warm up
+            config = ExperimentConfig(strategy="fedavg_random", client_fraction=fraction,
+                                      hidden=(100,))
+            run_round(train_rounds(config, train, part), test)  # warm up
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                _, record = run_round(*args, CostLedger(config.cost), 1)
+                _, record = run_round(train_rounds(config, train, part), test)
                 return record.selected_k, tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -261,6 +277,56 @@ class TestRunExperiment:
             run_experiment(cfg, train, part, other)
         assert rounds == []
 
+    def test_each_run_round_call_is_one_whole_round(self, monkeypatch):
+        # The benchmark's round timer wraps federation.run_round, so each
+        # call must train, score and return exactly one round's record.
+        cfg, train, part, test = small_setup(strategy="cat_cost", rounds=3)
+        inner, calls, rounds = [], [], federation.run_round
+        record_calls(monkeypatch, inner, "train_clients", "evaluate")
+
+        def timed_round(*args, **kwargs):
+            start = len(inner)
+            out = rounds(*args, **kwargs)
+            calls.append((out, inner[start:]))
+            return out
+
+        monkeypatch.setattr(federation, "run_round", timed_round)
+        result = run_experiment(cfg, train, part, test)
+        assert len(calls) == 3
+        for i, ((_, record), inside) in enumerate(calls):
+            assert record is result.records[i]
+            assert inside == ["train_clients", "evaluate"]
+        assert calls[-1][0][0] is result.model
+
+    @pytest.mark.parametrize("strategy, want", [
+        ("fedavg_random", ["select_random"] * 4),
+        ("cat_performance", ["select_performance"]),
+        ("cat_cost", ["select_cost"]),
+    ])
+    def test_only_the_random_baseline_selects_every_round(self, monkeypatch, strategy, want):
+        cfg, train, part, test = small_setup(strategy=strategy, rounds=4)
+        calls = []
+        record_calls(monkeypatch, calls, "select_random", "select_performance", "select_cost")
+        result = run_experiment(cfg, train, part, test)
+        assert calls == want
+        if strategy != "fedavg_random":
+            assert len({r.selected for r in result.records}) == 1
+
+    @pytest.mark.parametrize("strategy", ["cat_cost", "cat_performance"])
+    def test_empty_category_selection_refused_before_any_model(self, monkeypatch, strategy):
+        # No client advertises a category, so neither rule picks anyone.
+        train, test = make_pair(num_classes=3, num_pixels=5, seed=1)
+        part = make_partition([np.arange(0, 6), np.arange(6, 12)], [CategoryMask(0, 3)] * 2)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("called before the selection was checked")
+
+        monkeypatch.setattr(federation, "train_clients", fail)
+        monkeypatch.setattr(federation, "init_model", fail)
+        config = ExperimentConfig(strategy=strategy, hidden=(4,))
+        with pytest.raises(RoundError, match="^round 1: selection came back empty$"):
+            run_experiment(config, train, part, test)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
             ExperimentConfig(strategy="nope")
@@ -334,7 +400,7 @@ def test_divergence_names_the_client_a_one_at_a_time_run_names():
         strategy="fedavg_random", client_fraction=1.0, hidden=(4,),
         train=TrainConfig(learning_rate=1e300, batch_size=4),
     )
-    model = init_model([5, 4, 3], rng)
+    model = init_model([5, 4, 3], derive_rng(config.seed, STREAM_MODEL_INIT))
     alone = []
     with np.errstate(all="ignore"):
         for j, idx in enumerate(part.assignments):
@@ -344,8 +410,7 @@ def test_divergence_names_the_client_a_one_at_a_time_run_names():
             alone.append(str(info.value))
         assert "batch start 0 " in alone[1] and "batch start 0 " not in alone[0]
         with pytest.raises(RoundError) as info:
-            run_round(config, model, part, train, test, CostLedger(config.cost),
-                      round_index=1)
+            next(train_rounds(config, train, part))
     assert str(info.value) == f"round 1, client 0: training diverged: {alone[0]}"
 
 
@@ -366,8 +431,7 @@ def test_round_error_names_the_partition_position():
     with np.errstate(all="ignore"), pytest.raises(
         RoundError, match=r"^round 1, client 2: training diverged"
     ):
-        run_round(config, init_model([5, 4, 3], rng), part, train, test,
-                  CostLedger(config.cost), round_index=1)
+        next(train_rounds(config, train, part))
 
 
 class TestDecompositionDuringRuns:
