@@ -7,9 +7,10 @@ silently running defaults or failing later.  A value is checked as its line
 is read, by a RunConfig that sets only that key: the library config that takes
 the value (DistributionSpec, ExperimentConfig, TrainConfig, CostModel) checks
 its domain, and RunConfig itself checks only the four keys that none takes.
-A written key that the strategy never reads is refused with its line too:
-``mode`` and ``limit`` under ``fedavg_random``, ``client_fraction`` under a
-category strategy, and ``mode`` when ``limit`` is set.
+A written key that the strategy never reads (``mode`` and ``limit`` under
+``fedavg_random``, ``client_fraction`` under a category strategy, and ``mode``
+when ``limit`` is set) is refused by ExperimentConfig and SelectionConfig once
+every line is read, and the refusal is given the line that wrote the key.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .costs import CostModel
-from .errors import ConfigError, _parse_float, _parse_int, _require_count
+from .errors import ConfigError, UnreadSettingError, _parse_float, _parse_int, _require_count
 from .federation import ExperimentConfig
 from .network import TrainConfig
 from .partitions import DistributionSpec, parse_imbalance
-from .selection import Mode
 
 # Hidden-layer widths per dataset; input is the pixel count and the output
 # width is the class count, so only the middle of the net varies.
@@ -41,9 +41,9 @@ class RunConfig:
     data_root: str | None = None
     distribution: str = "D1"
     strategy: str = "cat_performance"
-    mode: str | None = None  # unset reads as B
+    mode: str | None = ExperimentConfig.mode
     limit: int | None = ExperimentConfig.limit
-    client_fraction: float = ExperimentConfig.client_fraction
+    client_fraction: float | None = ExperimentConfig.client_fraction
     rounds: int = ExperimentConfig.rounds
     learning_rate: float = TrainConfig.learning_rate
     batch_size: int = TrainConfig.batch_size
@@ -69,6 +69,8 @@ class RunConfig:
                     raise ValueError(f"{key} must be {domain}, got {getattr(self, key)!r}")
             self.distribution_spec()
             self.experiment_config()
+        except UnreadSettingError:
+            raise  # parse_config reads its field to name the line
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -86,7 +88,7 @@ class RunConfig:
             strategy=self.strategy,
             rounds=self.rounds,
             client_fraction=self.client_fraction,
-            mode=Mode.B if self.mode is None else self.mode,
+            mode=self.mode,
             limit=self.limit,
             hidden=ARCHITECTURES[self.dataset],
             train=TrainConfig(
@@ -130,18 +132,6 @@ _KEYS = {
 assert set(_KEYS) == {f.name for f in fields(RunConfig)}
 
 
-def _inert_keys(config: RunConfig) -> dict[str, str]:
-    """The keys that ``config``'s strategy and limit leave unread, each with
-    the reason: the random baseline draws without the cap, the category
-    strategies take no fraction, and an explicit limit wins over the mode."""
-    if config.strategy == "fedavg_random":
-        return dict.fromkeys(("mode", "limit"), f"with strategy {config.strategy}")
-    inert = {"client_fraction": f"with strategy {config.strategy}"}
-    if config.limit is not None:
-        inert["mode"] = "when limit is set"
-    return inert
-
-
 def parse_config(text: str) -> RunConfig:
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -160,15 +150,15 @@ def parse_config(text: str) -> RunConfig:
         try:
             values[key] = _KEYS[key](raw_value.strip())
             RunConfig(**{key: values[key]})
+        except UnreadSettingError:
+            pass  # whether the strategy reads the key is known once every line is read
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         lines[key] = lineno
-    config = RunConfig(**values)
-    inert = _inert_keys(config)
-    for key, lineno in lines.items():
-        if key in inert:
-            raise ConfigError(f"line {lineno}: {key} has no effect {inert[key]}")
-    return config
+    try:
+        return RunConfig(**values)
+    except UnreadSettingError as exc:
+        raise ConfigError(f"line {lines[exc.field]}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:

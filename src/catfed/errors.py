@@ -20,6 +20,15 @@ class ConfigError(ValueError):
     """A run-configuration file is missing keys, has unknown keys, or bad values."""
 
 
+class UnreadSettingError(ValueError):
+    """A config sets ``field``, which its other settings leave unread (e.g. a
+    ``limit`` under the random baseline)."""
+
+    def __init__(self, field: str, reason: str) -> None:
+        super().__init__(f"{field} has no effect {reason}")
+        self.field = field
+
+
 class RoundError(RuntimeError):
     """A federated round could not proceed (e.g. selection returned no clients,
     or a client's local training went non-finite)."""

@@ -39,7 +39,7 @@ import numpy as np
 
 from .costs import CostLedger, CostModel
 from .datasets import LabeledDataset
-from .errors import RoundError, _require_count, _require_number
+from .errors import RoundError, UnreadSettingError, _require_count, _require_number
 from .network import (
     Diverged,
     ModelParams,
@@ -73,8 +73,8 @@ STRATEGIES = ("fedavg_random", *CATEGORY_STRATEGIES)
 class ExperimentConfig:
     strategy: str
     rounds: int = 50
-    client_fraction: float = 0.1
-    mode: Mode = Mode.B
+    client_fraction: float | None = None  # unset reads as 0.1
+    mode: Mode | None = None  # unset reads as B
     limit: int | None = None
     hidden: tuple[int, ...] = (100, 100)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -82,17 +82,15 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", Mode(self.mode))
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.limit is not None:
-            _require_count("limit", self.limit, 1)
         _require_count("rounds", self.rounds, 1)
-        _require_number("client_fraction", self.client_fraction)
-        if not 0.0 < self.client_fraction <= 1.0:
-            raise ValueError(
-                f"client_fraction must be in (0, 1], got {self.client_fraction}"
-            )
+        if self.client_fraction is not None:
+            _require_number("client_fraction", self.client_fraction)
+            if not 0.0 < self.client_fraction <= 1.0:
+                raise ValueError(
+                    f"client_fraction must be in (0, 1], got {self.client_fraction}"
+                )
         if not isinstance(self.hidden, Sequence):
             raise ValueError(f"hidden must be a sequence of widths, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
@@ -103,6 +101,13 @@ class ExperimentConfig:
         if not isinstance(self.cost, CostModel):
             raise ValueError(f"cost must be a CostModel, got {self.cost!r}")
         _require_count("seed", self.seed, 0)
+        # The category count comes with the dataset; mode and limit are checked now.
+        object.__setattr__(self, "mode", SelectionConfig(1, self.mode, self.limit).mode)
+        # After every domain check: the selection settings the strategy leaves unread.
+        unread = ("mode", "limit") if self.strategy == "fedavg_random" else ("client_fraction",)
+        for key in unread:
+            if getattr(self, key) is not None:
+                raise UnreadSettingError(key, f"with strategy {self.strategy}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,8 @@ def _selector(
     """Each round's selection by round index; a category strategy reads only
     the masks, so it selects once, here."""
     if config.strategy == "fedavg_random":
-        k = _fedavg_k(config.client_fraction, len(masks))
+        fraction = 0.1 if config.client_fraction is None else config.client_fraction
+        k = _fedavg_k(fraction, len(masks))
         return lambda r: select_random(masks, k, derive_rng(config.seed, STREAM_SELECTION, r))
     select = select_performance if config.strategy == "cat_performance" else select_cost
     result = select(masks, SelectionConfig(num_categories, config.mode, config.limit))

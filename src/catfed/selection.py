@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _category_ids, _require_count
+from .errors import UnreadSettingError, _category_ids, _require_count
 
 MODE_A_LIMIT = 10
 
@@ -84,21 +84,25 @@ def build_mask(labels, num_categories: int) -> CategoryMask:
 @dataclass(frozen=True)
 class SelectionConfig:
     """Resolves the client cap N from a mode (A=10, B=C) or an explicit value;
-    ``mode`` may be a Mode or its value, and is stored as the Mode."""
+    ``mode`` may be a Mode or its value, and is stored as the Mode.  An unset
+    mode reads as B, and a mode set beside a limit is refused: the limit wins."""
 
     num_categories: int
-    mode: Mode = Mode.B
+    mode: Mode | None = None
     limit: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", Mode(self.mode))
+        if self.mode is not None:
+            object.__setattr__(self, "mode", Mode(self.mode))
         _require_count("num_categories", self.num_categories, 1)
         if self.limit is not None:
             _require_count("limit", self.limit, 1)
+            if self.mode is not None:
+                raise UnreadSettingError("mode", "when limit is set")
 
 
 def resolve_limit(config: SelectionConfig) -> int:
-    """Maximum number of selectable clients; an explicit limit wins over the mode."""
+    """Maximum number of selectable clients: the limit if set, else the mode's cap."""
     if config.limit is not None:
         return config.limit
     if config.mode is Mode.A:

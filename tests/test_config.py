@@ -291,6 +291,52 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_config(text)
 
+    @pytest.mark.parametrize("make", [ExperimentConfig, RunConfig])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"strategy": "fedavg_random", "seed": 1, "rounds": 5, "limit": 3},
+             "limit has no effect with strategy fedavg_random"),
+            ({"mode": "A", "strategy": "fedavg_random"},
+             "mode has no effect with strategy fedavg_random"),
+            ({"strategy": "cat_cost", "client_fraction": 0.2},
+             "client_fraction has no effect with strategy cat_cost"),
+            ({"strategy": "cat_performance", "client_fraction": 0.2},
+             "client_fraction has no effect with strategy cat_performance"),
+            ({"strategy": "cat_cost", "limit": 4, "mode": "A"},
+             "mode has no effect when limit is set"),
+        ],
+        ids=["random-limit", "random-mode", "cost-fraction", "performance-fraction",
+             "mode-under-limit"],
+    )
+    def test_library_configs_refuse_what_the_file_refuses(self, make, overrides, message):
+        # The same combinations as the file test above, in the same words
+        # without the line, and the error names the refused field.
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            make(**overrides)
+        assert info.value.field == message.split()[0]
+
+    def test_selection_config_refuses_a_mode_beside_a_limit(self):
+        with pytest.raises(ValueError, match="^mode has no effect when limit is set$"):
+            SelectionConfig(10, "A", 5)
+
+    @pytest.mark.parametrize(
+        "strategy, overrides, message",
+        [
+            ("fedavg_random", {"limit": 0}, "limit must be >= 1, got 0"),
+            ("fedavg_random", {"mode": "C"}, "mode must be A or B, got 'C'"),
+            ("cat_cost", {"client_fraction": 2.0},
+             r"client_fraction must be in \(0, 1\], got 2.0"),
+            ("cat_cost", {"client_fraction": 0.5, "mode": "A", "limit": 0},
+             "limit must be >= 1, got 0"),
+        ],
+    )
+    def test_a_value_out_of_domain_is_refused_before_an_unread_one(
+        self, strategy, overrides, message
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(strategy, **overrides)
+
     def test_keys_the_strategy_reads_are_accepted(self):
         random = parse_config("strategy = fedavg_random\nclient_fraction = 0.2\n")
         assert random.client_fraction == 0.2
@@ -333,9 +379,7 @@ class TestDerivedConfigs:
             dataset="kmnist49",
             strategy="cat_cost",
             mode="A",
-            limit=17,
             rounds=12,
-            client_fraction=0.2,
             learning_rate=0.01,
             batch_size=64,
             local_epochs=2,
@@ -346,9 +390,9 @@ class TestDerivedConfigs:
         exp = cfg.experiment_config()
         assert exp.strategy == "cat_cost"
         assert exp.mode is Mode.A
-        assert exp.limit == 17
+        assert exp.limit is None
         assert exp.rounds == 12
-        assert exp.client_fraction == 0.2
+        assert exp.client_fraction is None
         assert exp.hidden == ARCHITECTURES["kmnist49"]
         assert exp.train.learning_rate == 0.01
         assert exp.train.batch_size == 64
@@ -356,6 +400,14 @@ class TestDerivedConfigs:
         assert exp.cost.client_cost == 2.0
         assert exp.cost.server_cost == 5.0
         assert exp.seed == 3
+        limited = dataclasses.replace(cfg, mode=None, limit=17).experiment_config()
+        assert (limited.mode, limited.limit) == (None, 17)
+
+    def test_experiment_config_mapping_random_baseline(self):
+        exp = RunConfig(strategy="fedavg_random", client_fraction=0.2).experiment_config()
+        assert exp.strategy == "fedavg_random"
+        assert exp.client_fraction == 0.2
+        assert (exp.mode, exp.limit) == (None, None)
 
     def test_experiment_config_seed_override(self):
         seeded = dataclasses.replace(RunConfig(seed=3), seed=8)

@@ -76,8 +76,9 @@ class TestLimitResolution:
         assert resolve_limit(SelectionConfig(num_categories=47, mode=Mode.B)) == 47
 
     def test_explicit_limit_wins(self):
-        cfg = SelectionConfig(num_categories=47, mode=Mode.A, limit=19)
-        assert resolve_limit(cfg) == 19
+        assert resolve_limit(SelectionConfig(num_categories=47, limit=19)) == 19
+        with pytest.raises(ValueError, match="^mode has no effect when limit is set$"):
+            SelectionConfig(num_categories=47, mode=Mode.A, limit=19)
 
     def test_nonpositive_limit_rejected(self):
         with pytest.raises(ValueError):
@@ -94,10 +95,15 @@ class TestLimitResolution:
         assert resolve_limit(cfg) == 10
         assert SelectionConfig(num_categories=47, mode="B").mode is Mode.B
 
-    @pytest.mark.parametrize("mode", ["C", "a", None])
+    @pytest.mark.parametrize("mode", ["C", "a"])
     def test_unknown_mode_rejected_at_construction(self, mode):
         with pytest.raises(ValueError, match=repr(mode)):
             SelectionConfig(num_categories=5, mode=mode)
+
+    def test_unset_mode_reads_as_b(self):
+        cfg = SelectionConfig(num_categories=5, mode=None)
+        assert cfg.mode is None
+        assert resolve_limit(cfg) == 5
 
 
 class TestPerformanceStrategy:
