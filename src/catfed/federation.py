@@ -16,12 +16,12 @@ same sample count step in lockstep, each on its own copy of the global
 weights, and each gets the bits it would get alone.  Batch rows are gathered
 straight from the train split by index.
 
-The average is streamed: the weights are fixed from the selected clients'
-sample counts before training, and each update is folded into one running
-sum as its client finishes, in ascending client id.  A round holds the
-global model, that sum and one cohort's private models, however many
-clients it selects, and the result is the same bits as
-``sum(c * p ...)`` over the list of updates.
+The average is streamed: ``_RunningAverage`` takes the weights from the
+selected clients' sample counts and folds each update into one running sum,
+in the update's own arrays, as its client finishes, in ascending client id.
+A round holds the global model, that sum and one cohort's private models,
+however many clients it selects, and no scratch model; the result is the
+same bits as ``sum(c * p ...)`` over the list of updates.
 
 Everything is driven by one experiment seed.  Model init, the random
 baseline's draws, and each client's shuffling use independent streams derived
@@ -143,39 +143,34 @@ class ExperimentResult:
 
 
 class _RunningAverage:
-    """FedAvg folded one update at a time: ``acc = c_0 * p_0``, then
-    ``acc += c_i * p_i`` in the order the updates arrive.
+    """FedAvg folded one update at a time.  The coefficients are the sample
+    counts ``sizes`` over their total; member i's update is folded as
+    ``acc = c_0 * p_0``, then ``acc += c_i * p_i``, in member order.
 
     That is the rounding order of ``sum(c * p for ...)``, so the result is
-    the same bits as summing the whole list at once, while only the running
-    sum and one scratch product per layer are held.
+    the same bits as summing the whole list at once.  Each product after
+    the first is formed in the update's own arrays, which ``add`` may
+    overwrite, so only the running sum is held.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, sizes: Sequence[int]) -> None:
+        sizes = np.asarray(sizes, dtype=np.float64)
+        self._coefs = sizes / sizes.sum()
         self._acc: list[np.ndarray] = []
-        self._scratch: list[np.ndarray] = []
 
-    def add(self, coef: float, weights: tuple, biases: tuple) -> None:
-        arrays = weights + biases
+    def add(self, i: int, weights: tuple, biases: tuple) -> None:
+        coef, arrays = self._coefs[i], weights + biases
         if not self._acc:
             self._acc = [coef * p for p in arrays]
-            self._scratch = [np.empty_like(p) for p in arrays]
             return
-        for acc, scratch, p in zip(self._acc, self._scratch, arrays):
-            acc += np.multiply(coef, p, out=scratch)
+        for acc, p in zip(self._acc, arrays):
+            acc += np.multiply(coef, p, out=p)
 
     def result(self) -> ModelParams:
         layers = len(self._acc) // 2
         return ModelParams(
             weights=tuple(self._acc[:layers]), biases=tuple(self._acc[layers:])
         )
-
-
-def _coefficients(weights) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights <= 0):
-        raise RoundError("aggregation weights must be positive")
-    return weights / weights.sum()
 
 
 def _fedavg_k(fraction: float, num_clients: int) -> int:
@@ -216,15 +211,17 @@ def train_rounds(
         selected = tuple(sorted(result.selected))
         indices = [partition.assignments[j] for j in selected]
         sizes = [len(idx) for idx in indices]
+        if 0 in sizes:
+            j = selected[sizes.index(0)]
+            raise RoundError(f"round {round_index}, client {j}: holds no samples")
         # Each update is folded in as its client finishes, so a round holds the
         # running average and one cohort's models, not one update per client.
-        coefs = _coefficients(sizes)
-        average = _RunningAverage()
+        average = _RunningAverage(sizes)
         try:
             train_clients(
                 model, train_dataset.images, train_dataset.labels, indices, config.train,
                 [derive_rng(config.seed, STREAM_CLIENT_UPDATE, round_index, j) for j in selected],
-                lambda i, weights, biases: average.add(coefs[i], weights, biases),
+                average.add,
             )
         except Diverged as exc:
             raise RoundError(
@@ -232,7 +229,6 @@ def train_rounds(
                 f"training diverged: {exc}"
             ) from exc
         model = average.result()
-        del average  # frees the fold's scratch before the round is scored
         round_cost, cumulative = ledger.record(result.count, sum(sizes))
         yield model, RoundRecord(
             round_index=round_index, strategy=config.strategy, selected=selected,

@@ -353,7 +353,8 @@ def train_clients(
     ``images``, uint8 read as pixel / 255.
 
     ``take`` gets views into buffers that the next cohort reuses, so it must
-    use or copy them before it returns.  The input model is never written.
+    use or copy them before it returns, and may overwrite them: they are not
+    read again.  The input model is never written.
     A step whose loss is not finite, or a final model that is not, raises
     Diverged for the first member (in list order) that a one-at-a-time run
     would name, after ``take`` has had every member before it; the message

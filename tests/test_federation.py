@@ -17,7 +17,6 @@ from catfed import (
 )
 from catfed import federation
 from catfed.federation import (
-    _coefficients,
     _fedavg_k,
     _RunningAverage,
     run_round,
@@ -53,11 +52,12 @@ def record_calls(monkeypatch, calls, *names):
         monkeypatch.setattr(federation, name, wrap(name, getattr(federation, name)))
 
 
-def fold(models, coefs):
-    """``models`` folded through ``_RunningAverage`` with ``coefs``."""
-    average = _RunningAverage()
-    for coef, m in zip(coefs, models):
-        average.add(coef, m.weights, m.biases)
+def fold(models, sizes):
+    """``models`` folded through ``_RunningAverage(sizes)``, each from
+    writable copies, since the fold may overwrite what it is given."""
+    average = _RunningAverage(sizes)
+    for i, m in enumerate(models):
+        average.add(i, tuple(w.copy() for w in m.weights), tuple(b.copy() for b in m.biases))
     return average.result()
 
 
@@ -65,7 +65,7 @@ class TestAggregation:
     def test_weighted_mean_hand_check(self):
         a = ModelParams(weights=(np.full((2, 2), 1.0),), biases=(np.zeros(2),))
         b = ModelParams(weights=(np.full((2, 2), 4.0),), biases=(np.ones(2),))
-        merged = fold([a, b], _coefficients([1.0, 2.0]))
+        merged = fold([a, b], [1, 2])
         assert np.allclose(merged.weights[0], 3.0)
         assert np.allclose(merged.biases[0], 2.0 / 3.0)
 
@@ -75,14 +75,9 @@ class TestAggregation:
             ModelParams(weights=(rng.standard_normal((3, 2)),), biases=(rng.standard_normal(3),))
             for _ in range(4)
         ]
-        merged = fold(models, _coefficients([2.0] * 4))
+        merged = fold(models, [2] * 4)
         stacked = np.mean([m.weights[0] for m in models], axis=0)
         assert np.allclose(merged.weights[0], stacked)
-
-    def test_bad_weights_rejected(self):
-        for bad in ([0.0], [3.0, -1.0]):
-            with pytest.raises(RoundError, match="aggregation weights must be positive"):
-                _coefficients(bad)
 
     def test_equals_summed_products_bitwise(self):
         # The fold rounds as sum(c * p for ...) over the whole list does.
@@ -91,9 +86,9 @@ class TestAggregation:
             ModelParams(weights=(rng.standard_normal((4, 3)),), biases=(rng.standard_normal(4),))
             for _ in range(5)
         ]
-        weights = np.array([60.0, 7.0, 600.0, 33.0, 1.0])
-        coef = weights / weights.sum()
-        merged = fold(models, coef)
+        sizes = [60, 7, 600, 33, 1]
+        coef = np.array(sizes, dtype=np.float64) / sum(sizes)
+        merged = fold(models, sizes)
         want_w = sum(c * m.weights[0] for c, m in zip(coef, models))
         want_b = sum(c * m.biases[0] for c, m in zip(coef, models))
         assert merged.weights[0].tobytes() == want_w.tobytes()
@@ -432,6 +427,24 @@ def test_round_error_names_the_partition_position():
         RoundError, match=r"^round 1, client 2: training diverged"
     ):
         next(train_rounds(config, train, part))
+
+
+def test_selected_client_with_no_samples_is_named_before_training(monkeypatch):
+    # Client 1 of a hand-built partition holds no rows; every client is picked.
+    train, _, _ = round_inputs([6, 6, 6])
+    part = make_partition(
+        [np.arange(0, 6), np.arange(0), np.arange(6, 18)],
+        [CategoryMask(0b1, 10)] * 3,
+    )
+    config = ExperimentConfig(strategy="fedavg_random", client_fraction=1.0, hidden=(4,))
+
+    def no_training(*args):
+        raise AssertionError("trained a round with an empty client")
+
+    monkeypatch.setattr(federation, "train_clients", no_training)
+    with pytest.raises(RoundError) as info:
+        next(train_rounds(config, train, part))
+    assert str(info.value) == "round 1, client 1: holds no samples"
 
 
 class TestDecompositionDuringRuns:

@@ -390,13 +390,16 @@ def _trained_alone(model, images, labels, members, cfg, seeds):
     return out
 
 
-def _trained_in_cohorts(model, images, labels, members, cfg, seeds):
-    """``train_clients`` over all members, each update copied as it comes."""
+def _trained_in_cohorts(model, images, labels, members, cfg, seeds, overwrite=False):
+    """``train_clients`` over all members, each update copied as it comes;
+    with ``overwrite``, the arrays handed over are then filled with NaN."""
     out = []
 
     def take(i, weights, biases):
         assert i == len(out)
         out.append([a.copy() for a in weights + biases])
+        for a in weights + biases if overwrite else ():
+            a.fill(np.nan)
 
     train_clients(model, images, labels, members, cfg,
                   [np.random.default_rng(seed) for seed in seeds], take)
@@ -453,6 +456,24 @@ class TestCohorts:
         seeds = list(range(len(members)))
         got = _trained_in_cohorts(model, x, y, members, cfg, seeds)
         want = _trained_alone(model, x, y, members, cfg, seeds)
+        for g_params, w_params in zip(got, want):
+            for a, b in zip(g_params, w_params):
+                assert a.tobytes() == b.tobytes()
+
+    def test_take_may_overwrite_what_it_is_given(self):
+        # After ``take`` is handed a member's arrays, no update and no
+        # finiteness check reads them again: each copy is still exact.
+        sizes = [10] * (COHORT + 1) + [7, 7, 10]
+        rng = np.random.default_rng(42)
+        model = init_model([12, 8, 3], rng)
+        x = rng.integers(0, 256, (sum(sizes), 12), dtype=np.uint8)
+        y = rng.integers(0, 3, sum(sizes))
+        members = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes))[: len(sizes)]
+        cfg = TrainConfig(learning_rate=0.05, batch_size=4, local_epochs=2)
+        seeds = [200 + i for i in range(len(sizes))]
+        got = _trained_in_cohorts(model, x, y, members, cfg, seeds, overwrite=True)
+        want = _trained_alone(model, x, y, members, cfg, seeds)
+        assert len(got) == len(want) == len(sizes)
         for g_params, w_params in zip(got, want):
             for a, b in zip(g_params, w_params):
                 assert a.tobytes() == b.tobytes()
