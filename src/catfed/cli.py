@@ -181,9 +181,13 @@ def _require_category_strategy(config: RunConfig, command: str) -> None:
 def cmd_sweep_n(config_path: str, n_values: list[int]) -> int:
     config = load_config(config_path)
     _require_category_strategy(config, "sweep-n")
-    for key in ("limit", "mode"):
-        if getattr(config, key) is not None:
-            raise ValueError(f"{config_path}: {key} has no effect under sweep-n (--n sets N)")
+    for key, written, reason in (
+        ("limit", config.limit is not None, "--n sets N"),
+        ("mode", config.mode is not None, "--n sets N"),
+        ("seeds", config.seeds > 1, "it sweeps one seed"),
+    ):
+        if written:
+            raise ValueError(f"{config_path}: {key} has no effect under sweep-n ({reason})")
     root = resolve_data_root(config)
     train, test = _load_pair(config, root)
     # One partition and one seed shared by every N so the sweep isolates N.

@@ -10,7 +10,11 @@ its domain, and RunConfig itself checks only the four keys that none takes.
 A written key that the strategy never reads (``mode`` and ``limit`` under
 ``fedavg_random``, ``client_fraction`` under a category strategy, and ``mode``
 when ``limit`` is set) is refused by ExperimentConfig and SelectionConfig once
-every line is read, and the refusal is given the line that wrote the key.
+every line is read, and the refusal is given the line that wrote the key.  So
+is a ``distribution`` or ``imbalance`` that the dataset's class count cannot
+take, which partitions' ``check_class_count`` refuses: the refusal names the
+dataset and the line of the key at fault, or the ``dataset`` line when that
+key is the default distribution.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .costs import CostModel
-from .errors import ConfigError, UnreadSettingError, _parse_float, _parse_int, _require_count
+from .datasets import DATASET_CLASSES
+from .errors import ConfigError, SettingError, _parse_float, _parse_int, _require_count
 from .federation import ExperimentConfig
 from .network import TrainConfig
-from .partitions import DistributionSpec, parse_imbalance
+from .partitions import DistributionSpec, check_class_count, parse_imbalance
 
 # Hidden-layer widths per dataset; input is the pixel count and the output
 # width is the class count, so only the middle of the net varies.
@@ -67,9 +72,13 @@ class RunConfig:
             ):
                 if not ok:
                     raise ValueError(f"{key} must be {domain}, got {getattr(self, key)!r}")
-            self.distribution_spec()
+            try:
+                check_class_count(self.distribution_spec(), DATASET_CLASSES[self.dataset])
+            except SettingError as exc:
+                key = "distribution" if exc.field == "kind" else exc.field
+                raise SettingError(key, f"dataset {self.dataset}: {exc}") from None
             self.experiment_config()
-        except UnreadSettingError:
+        except SettingError:
             raise  # parse_config reads its field to name the line
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -150,15 +159,17 @@ def parse_config(text: str) -> RunConfig:
         try:
             values[key] = _KEYS[key](raw_value.strip())
             RunConfig(**{key: values[key]})
-        except UnreadSettingError:
-            pass  # whether the strategy reads the key is known once every line is read
+        except SettingError:
+            pass  # whether the other keys allow this one is known once every line is read
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         lines[key] = lineno
     try:
         return RunConfig(**values)
-    except UnreadSettingError as exc:
-        raise ConfigError(f"line {lines[exc.field]}: {exc}") from exc
+    except SettingError as exc:
+        # A default distribution is refused for the dataset written beside it.
+        line = lines[exc.field] if exc.field in lines else lines["dataset"]
+        raise ConfigError(f"line {line}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:

@@ -20,13 +20,21 @@ class ConfigError(ValueError):
     """A run-configuration file is missing keys, has unknown keys, or bad values."""
 
 
-class UnreadSettingError(ValueError):
+class SettingError(ValueError):
+    """A config's ``field`` holds a value its other settings rule out (e.g. a
+    distribution the dataset's class count cannot take)."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
+class UnreadSettingError(SettingError):
     """A config sets ``field``, which its other settings leave unread (e.g. a
     ``limit`` under the random baseline)."""
 
     def __init__(self, field: str, reason: str) -> None:
-        super().__init__(f"{field} has no effect {reason}")
-        self.field = field
+        super().__init__(field, f"{field} has no effect {reason}")
 
 
 class RoundError(RuntimeError):

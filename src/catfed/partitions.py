@@ -22,16 +22,23 @@ replacement from per-category pools, split as evenly as possible across each
 client's categories; exhausted pools fall back to drawing with replacement and
 the event is recorded.
 
+D1-D5 share one profile path: D5's scarce tail, its upper half of ids, is
+drawn first, the other ids take the kind's shape scaled to what the tail left,
+and a repair (monotone for D1) brings the sum to its target, those ids first.
+
 The fill writes one (clients x categories) bool table of who holds what:
 each client's mask is its row, and a category's presence, the number of
-clients holding it, is the column sum.  The draw reads its (client, category)
-pairs off the table in row-major order, computes every pair's quota and pool
-slice at once and fills a (clients, samples) index array with one gather, in
-blocks of ``_BLOCK_ROWS`` sampled rows so no index temporary grows with the
-partition; only the exhausted-pool pairs loop, in (client, category) order, so
-the random stream and the replacement events are those of a draw made pair by
-pair.  Labels are checked once on entry: a float, bool or out-of-range label
-is refused before anything is drawn.
+clients holding it, is the column sum.  Two tables of the same shape give
+each (client, category) pair its quota, one ``divmod`` per row, and its pool
+cursor, the column sum of the quotas above it.  The draw reads the pairs off
+them in row-major order and fills a (clients, samples) index array with one
+gather, in blocks of ``_BLOCK_ROWS`` sampled rows so no index temporary grows
+with the partition; only the exhausted-pool pairs loop, in (client, category)
+order, so the random stream and the replacement events are those of a draw
+made pair by pair.  Labels are checked once on entry: a float, bool or
+out-of-range label, and a kind or imbalance the class count cannot take
+(``check_class_count``, which run configs also call), are refused before
+anything is drawn.
 
 A spec's ``imbalance = (k, r)`` is the global class imbalance: before any of
 that, the k lowest category ids are shrunk to a fraction r of their rows,
@@ -52,7 +59,8 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .errors import (
-    GenerationError, _category_ids, _parse_float, _parse_int, _require_count, _require_number
+    GenerationError, SettingError, _category_ids, _parse_float, _parse_int, _require_count,
+    _require_number,
 )
 from .seeding import STREAM_IMBALANCE, STREAM_PARTITION, derive_rng
 from .selection import CategoryMask, _mask_bits
@@ -150,21 +158,36 @@ class ClientPartition:
         return held.sum(axis=0, dtype=np.int64)
 
 
+def check_class_count(spec: DistributionSpec, num_categories: int) -> None:
+    """Refuse a spec whose kind or imbalance a ``num_categories``-class
+    dataset cannot take; the error's field is the spec field at fault."""
+    if spec.kind in _RANGE_KINDS:
+        expected = _RANGE_KINDS[spec.kind][0]
+        if num_categories != expected:
+            raise SettingError(
+                "kind",
+                f"{spec.kind} is defined for {expected}-class datasets, got {num_categories}",
+            )
+    elif num_categories not in _FIXED_COUNTS:
+        raise SettingError(
+            "kind",
+            f"{spec.kind} is defined for class counts {sorted(_FIXED_COUNTS)}, "
+            f"got {num_categories}",
+        )
+    if spec.imbalance is not None and spec.imbalance[0] >= num_categories:
+        raise SettingError(
+            "imbalance",
+            f"minority count must be in [0, {num_categories}), got {spec.imbalance[0]}",
+        )
+
+
 def kind_bounds(kind: str, num_categories: int, num_clients: int,
                 samples_per_client: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Effective (count, presence) bounds, clipped to the instance size."""
+    """Effective (count, presence) bounds, clipped to the instance size, for a
+    class count that ``check_class_count`` accepts."""
     if kind in _RANGE_KINDS:
-        expected, counts, presence = _RANGE_KINDS[kind]
-        if num_categories != expected:
-            raise ValueError(
-                f"{kind} is defined for {expected}-class datasets, got {num_categories}"
-            )
+        _, counts, presence = _RANGE_KINDS[kind]
     else:
-        if num_categories not in _FIXED_COUNTS:
-            raise ValueError(
-                f"{kind} is defined for class counts {sorted(_FIXED_COUNTS)}, "
-                f"got {num_categories}"
-            )
         fixed = _FIXED_COUNTS[num_categories][KINDS.index(kind) - 5]
         counts, presence = (fixed, fixed), (0, num_clients)
     count_hi = min(counts[1], samples_per_client, num_categories)
@@ -175,7 +198,8 @@ def kind_bounds(kind: str, num_categories: int, num_clients: int,
 
 
 def _raw_profile(kind: str, num_categories: int, rng: np.random.Generator) -> np.ndarray:
-    """Unnormalized presence shape over category ids for D1-D5."""
+    """Unnormalized presence shape over category ids for D1-D5; D5's dense
+    ids take D4's shape."""
     ids = np.arange(num_categories, dtype=np.float64)
     if kind == "D1":
         base = np.linspace(1.0, 0.05, num_categories)
@@ -191,7 +215,7 @@ def _raw_profile(kind: str, num_categories: int, rng: np.random.Generator) -> np
         sigma = np.where(ids < mu, sigma_left, sigma_right)
         base = np.exp(-0.5 * ((ids - mu) / sigma) ** 2)
         return base * rng.uniform(0.85, 1.15, num_categories)
-    if kind == "D4":
+    if kind in ("D4", "D5"):
         peak = num_categories * 0.25
         base = (ids + 1.0) ** 1.3 * np.exp(-ids / max(peak, 1.0))
         return base * rng.uniform(0.85, 1.15, num_categories)
@@ -199,17 +223,12 @@ def _raw_profile(kind: str, num_categories: int, rng: np.random.Generator) -> np
 
 
 def _repair_sum(
-    profile: np.ndarray,
-    lo: int,
-    hi: int,
-    target: int,
-    rng: np.random.Generator,
-    preferred: np.ndarray | None = None,
+    profile: np.ndarray, lo: int, hi: int, target: int, rng: np.random.Generator, preferred: int
 ) -> None:
     """Nudge entries by +-1 (inside [lo, hi]) until the profile sums to target.
 
-    When given, ``preferred`` marks the entries to adjust first; the rest are
-    touched only once the preferred ones are saturated.
+    The first ``preferred`` entries are adjusted first; the rest are touched
+    only once those are saturated.
     """
     while True:
         delta = target - int(profile.sum())
@@ -217,7 +236,7 @@ def _repair_sum(
             return
         step = 1 if delta > 0 else -1
         room = profile < hi if step > 0 else profile > lo
-        candidates = np.flatnonzero(room & preferred) if preferred is not None else np.array([], int)
+        candidates = np.flatnonzero(room[:preferred])
         if candidates.size == 0:
             candidates = np.flatnonzero(room)
         if candidates.size == 0:
@@ -279,38 +298,23 @@ def _presence_profile(
             f"{num_categories * presence_hi}"
         )
 
-    if kind == "D5":
-        # Scarce tail: the upper half of category ids sits at presence 1-2
-        # (clipped to the bounds); the rest follows a skewed bump.
-        n_scarce = num_categories // 2
-        scarce_ids = np.arange(num_categories - n_scarce, num_categories)
-        profile = np.zeros(num_categories, dtype=np.int64)
-        profile[scarce_ids] = np.clip(
-            rng.integers(1, 3, size=n_scarce), presence_lo, presence_hi
-        )
-        dense_ids = np.arange(num_categories - n_scarce)
-        raw = _raw_profile("D4", dense_ids.size, rng)
-        remaining = target - int(profile[scarce_ids].sum())
-        dense = np.clip(
-            np.round(raw * remaining / raw.sum()).astype(np.int64),
-            presence_lo,
-            presence_hi,
-        )
-        profile[dense_ids] = dense
-        preferred = np.zeros(num_categories, dtype=bool)
-        preferred[dense_ids] = True
-        _repair_sum(profile, presence_lo, presence_hi, target, rng, preferred=preferred)
-        return profile
-
-    raw = _raw_profile(kind, num_categories, rng)
-    profile = np.clip(
-        np.round(raw * target / raw.sum()).astype(np.int64), presence_lo, presence_hi
+    # D5's scarce tail, the upper half of category ids, sits at presence 1-2
+    # (clipped to the bounds); every other kind's tail is empty.
+    dense = num_categories - (num_categories // 2 if kind == "D5" else 0)
+    profile = np.empty(num_categories, dtype=np.int64)
+    profile[dense:] = np.clip(
+        rng.integers(1, 3, size=num_categories - dense), presence_lo, presence_hi
+    )
+    raw = _raw_profile(kind, dense, rng)
+    remaining = target - int(profile[dense:].sum())
+    profile[:dense] = np.clip(
+        np.round(raw * remaining / raw.sum()).astype(np.int64), presence_lo, presence_hi
     )
     if kind == "D1":
         profile = np.sort(profile)[::-1]
         _repair_sum_monotone(profile, presence_lo, presence_hi, target)
     else:
-        _repair_sum(profile, presence_lo, presence_hi, target, rng)
+        _repair_sum(profile, presence_lo, presence_hi, target, rng, preferred=dense)
     return profile
 
 
@@ -352,10 +356,12 @@ def _draw_samples(
     splits its samples over its (client, category) pairs as evenly as one
     ``divmod`` allows, earlier categories taking the remainder; each
     category's pairs take consecutive slices of its permuted pool in client
-    order, and one gather, taken in blocks, reads them all.  A pair that
-    finds the pool exhausted draws its shortfall with replacement, in
-    (client, category) order, so the random stream and the returned
-    replacement events are the ones a per-pair loop makes.
+    order, so a pair's quota and pool cursor are read off (clients,
+    categories) tables, the cursor a column sum of the quotas above it.  One
+    gather, taken in blocks, reads every slice.  A pair that finds the pool
+    exhausted draws its shortfall with replacement, in (client, category)
+    order, so the random stream and the returned replacement events are the
+    ones a per-pair loop makes.
     """
     num_clients, num_categories = held.shape
     # Category c's permuted pool is pool_rows[bounds[c]:bounds[c + 1]].
@@ -374,17 +380,11 @@ def _draw_samples(
     empty = np.flatnonzero(sizes[cats] == 0)
     if empty.size:
         raise GenerationError(f"dataset holds no samples of category {cats[empty[0]]}")
-    per_client = np.count_nonzero(held, axis=1)
-    position = np.arange(cats.size) - (np.cumsum(per_client) - per_client)[owner]
-    base, rem = divmod(samples_per_client, per_client)
-    quota = base[owner] + (position < rem[owner])
-
-    # How much of its category's pool the earlier pairs of that category used.
-    by_category = np.argsort(cats, kind="stable")
-    used = np.cumsum(quota[by_category]) - quota[by_category]
-    first_of_category = np.searchsorted(cats[by_category], cats[by_category])
-    cursor = np.empty_like(used)
-    cursor[by_category] = used - used[first_of_category]
+    base, rem = divmod(samples_per_client, held.sum(axis=1))
+    quotas = held * (base[:, None] + (np.cumsum(held, axis=1) <= rem[:, None]))
+    # How much of its category's pool the earlier clients holding it used.
+    cursors = np.cumsum(quotas, axis=0) - quotas
+    quota, cursor = quotas[owner, cats], cursors[owner, cats]
     take = np.clip(sizes[cats] - cursor, 0, quota)
 
     # Pair p fills flat slots [out_start[p], out_start[p] + quota[p]); its
@@ -421,10 +421,6 @@ def _kept_rows(
     if spec.imbalance is None:
         return None
     minority_count, ratio = spec.imbalance
-    if minority_count >= num_categories:
-        raise ValueError(
-            f"minority count must be in [0, {num_categories}), got {minority_count}"
-        )
     rng = derive_rng(spec.seed, STREAM_IMBALANCE)
     keep = np.ones(labels.size, dtype=bool)
     for c in range(minority_count):
@@ -439,6 +435,7 @@ def generate_partition_from_labels(
 ) -> ClientPartition:
     """Core generator; see generate_partition for the dataset-level entry point."""
     labels = _category_ids(labels, num_categories)
+    check_class_count(spec, num_categories)
     count_bounds, presence_bounds = kind_bounds(
         spec.kind, num_categories, spec.num_clients, spec.samples_per_client
     )

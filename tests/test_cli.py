@@ -224,6 +224,15 @@ class TestSweepN:
             f"error: {cfg}: mode has no effect under sweep-n (--n sets N)\n"
         )
 
+    def test_sweep_refuses_more_than_one_seed(self, tmp_path, data_root, capsys):
+        out = tmp_path / "sweep.csv"
+        cfg = write_config(tmp_path, data_root, output=out, strategy="cat_cost", seeds=3)
+        assert main(["sweep-n", str(cfg), "--n", "1-2"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: seeds has no effect under sweep-n (it sweeps one seed)\n"
+        )
+        assert not out.exists()
+
     def test_parse_n_values(self):
         assert _parse_n_values("1,3,5-7") == [1, 3, 5, 6, 7]
         assert _parse_n_values("4") == [4]
@@ -360,6 +369,21 @@ class TestErrors:
         assert main(["run", str(cfg)]) == 1
         assert capsys.readouterr().err == (
             f"error: {cfg}: line 11: limit has no effect with strategy fedavg_random\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command", ["run", "partition", "sweep-n", "inspect-dataset", "trace-selection"]
+    )
+    def test_class_count_refusal_comes_before_any_data_is_read(self, tmp_path, command,
+                                                               capsys):
+        # Line 1 sets the dataset, line 2 the 10-class distribution it cannot take.
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        cfg = write_config(tmp_path, empty, dataset="femnist47")
+        assert main([command, str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 2: dataset femnist47: "
+            "D1 is defined for 10-class datasets, got 47\n"
         )
 
     def test_non_utf8_config_names_file_and_line(self, tmp_path, capsys):

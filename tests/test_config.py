@@ -123,6 +123,7 @@ class TestParsing:
         # Floats as repr writes them: shortest round-trip digits and exponents.
         cfg = parse_config(
             "dataset = femnist47\n"
+            "distribution = D2\n"
             "client_cost = 0.30000000000000004\n"
             "learning_rate = 1e-05\n"
             "server_cost = 1.5\n"
@@ -316,6 +317,40 @@ class TestValidation:
             make(**overrides)
         assert info.value.field == message.split()[0]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed = 1\ndistribution = D2\nrounds = 5\n",
+             "line 2: dataset mnist: D2 is defined for 47-class datasets, got 10"),
+            ("rounds = 5\ndataset = femnist47\n",
+             "line 2: dataset femnist47: D1 is defined for 10-class datasets, got 47"),
+            ("dataset = kmnist49\ndistribution = D8\nimbalance = 49:0.5\nseed = 1\n",
+             r"line 3: dataset kmnist49: minority count must be in \[0, 49\), got 49"),
+            ("imbalance = 10:0.5\n",
+             r"line 1: dataset mnist: minority count must be in \[0, 10\), got 10"),
+        ],
+        ids=["written-distribution", "default-distribution", "imbalance",
+             "imbalance-default-dataset"],
+    )
+    def test_setting_the_dataset_cannot_take_names_line_and_dataset(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "overrides, field, message",
+        [
+            ({"dataset": "femnist47"}, "distribution",
+             "dataset femnist47: D1 is defined for 10-class datasets, got 47"),
+            ({"distribution": "D7", "imbalance": (10, 0.5)}, "imbalance",
+             r"dataset mnist: minority count must be in \[0, 10\), got 10"),
+        ],
+        ids=["distribution", "imbalance"],
+    )
+    def test_run_config_refuses_what_the_dataset_cannot_take(self, overrides, field, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            RunConfig(**overrides)
+        assert info.value.field == field
+
     def test_selection_config_refuses_a_mode_beside_a_limit(self):
         with pytest.raises(ValueError, match="^mode has no effect when limit is set$"):
             SelectionConfig(10, "A", 5)
@@ -358,7 +393,7 @@ class TestValidation:
 class TestDerivedConfigs:
     def test_distribution_spec_fields(self):
         cfg = RunConfig(
-            distribution="D4", num_clients=40, samples_per_client=80, seed=9
+            dataset="femnist47", distribution="D4", num_clients=40, samples_per_client=80, seed=9
         )
         spec = cfg.distribution_spec()
         assert spec.kind == "D4"
@@ -377,6 +412,7 @@ class TestDerivedConfigs:
     def test_experiment_config_mapping(self):
         cfg = RunConfig(
             dataset="kmnist49",
+            distribution="D3",
             strategy="cat_cost",
             mode="A",
             rounds=12,

@@ -297,11 +297,12 @@ class TestImbalance:
         spec = DistributionSpec(kind="D1")
         assert _kept_rows(spec, tiny_dataset.labels, 6) is None
 
-    def test_invalid_arguments(self, tiny_dataset):
+    def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="ratio"):
             DistributionSpec(kind="D1", imbalance=(1, 1.0))
-        with pytest.raises(ValueError, match=r"minority count must be in \[0, 6\), got 6"):
-            kept_rows(tiny_dataset, minority_count=6, ratio=0.1)
+        spec = DistributionSpec(kind="D1", imbalance=(10, 0.1))
+        with pytest.raises(ValueError, match=r"minority count must be in \[0, 10\), got 10"):
+            generate_partition_from_labels(spec, np.repeat(np.arange(10), 5), 10)
 
     def test_deterministic(self, tiny_dataset):
         a = kept_rows(tiny_dataset, minority_count=2, ratio=0.1, seed=3)
