@@ -26,7 +26,14 @@ import numpy as np
 from .config import RunConfig, load_config
 from .datasets import DatasetSpec, LabeledDataset, load_dataset
 from .errors import _parse_int
-from .federation import ExperimentResult, RoundRecord, run_experiment, run_round, train_rounds
+from .federation import (
+    ExperimentResult,
+    RoundRecord,
+    plan,
+    run_experiment,
+    run_round,
+    train_rounds,
+)
 from .partitions import (
     ClientPartition,
     generate_partition,
@@ -64,10 +71,8 @@ def records_to_csv(records: tuple[RoundRecord, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_pair(config: RunConfig, root: Path) -> tuple[LabeledDataset, LabeledDataset]:
-    train = load_dataset(DatasetSpec(config.dataset, "train", root))
-    test = load_dataset(DatasetSpec(config.dataset, "test", root))
-    return train, test
+def _split(config: RunConfig, split: str) -> LabeledDataset:
+    return load_dataset(DatasetSpec(config.dataset, split, resolve_data_root(config)))
 
 
 def _note_replacements(partition: ClientPartition) -> None:
@@ -89,10 +94,20 @@ def _summary_path(output: Path) -> Path:
     return output.with_name(f"{output.stem}.summary.txt")
 
 
-def cmd_run(config_path: str) -> int:
-    config = load_config(config_path)
-    root = resolve_data_root(config)
-    train, test = _load_pair(config, root)
+def _blas_line() -> str:
+    """The BLAS build and thread setting a run's last bits depend on, read as
+    perfbench's ``environment()`` reads them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (
+        f"blas={blas.get('name')} version={blas.get('version')} "
+        f"configuration={blas.get('openblas configuration')!r} "
+        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')} "
+        f"cpu_count={os.cpu_count()}"
+    )
+
+
+def cmd_run(config: RunConfig, args: argparse.Namespace) -> int:
+    train, test = _split(config, "train"), _split(config, "test")
 
     output = Path(config.output)
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -121,17 +136,15 @@ def cmd_run(config_path: str) -> int:
             f"mean final_accuracy={acc.mean()!r} std={acc.std()!r} "
             f"mean cumulative_cost={cost.mean()!r} std={cost.std()!r}"
         )
+    summary_lines.append(_blas_line())
     summary = "\n".join(summary_lines) + "\n"
     _summary_path(output).write_text(summary, encoding="utf-8")
     print(summary, end="")
     return 0
 
 
-def cmd_partition(config_path: str) -> int:
-    config = load_config(config_path)
-    root = resolve_data_root(config)
-    train = load_dataset(DatasetSpec(config.dataset, "train", root))
-    partition = generate_partition(config.distribution_spec(), train)
+def cmd_partition(config: RunConfig, args: argparse.Namespace) -> int:
+    partition = generate_partition(config.distribution_spec(), _split(config, "train"))
 
     output = Path(config.output)
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -178,8 +191,8 @@ def _require_category_strategy(config: RunConfig, command: str) -> None:
         raise ValueError(f"{command} needs a category strategy, got {config.strategy!r}")
 
 
-def cmd_sweep_n(config_path: str, n_values: list[int]) -> int:
-    config = load_config(config_path)
+def cmd_sweep_n(config: RunConfig, args: argparse.Namespace) -> int:
+    n_values = _parse_n_values(args.n)
     _require_category_strategy(config, "sweep-n")
     for key, written, reason in (
         ("limit", config.limit is not None, "--n sets N"),
@@ -187,22 +200,27 @@ def cmd_sweep_n(config_path: str, n_values: list[int]) -> int:
         ("seeds", config.seeds > 1, "it sweeps one seed"),
     ):
         if written:
-            raise ValueError(f"{config_path}: {key} has no effect under sweep-n ({reason})")
-    root = resolve_data_root(config)
-    train, test = _load_pair(config, root)
+            raise ValueError(f"{args.config}: {key} has no effect under sweep-n ({reason})")
+    train, test = _split(config, "train"), _split(config, "test")
     # One partition and one seed shared by every N so the sweep isolates N.
     partition = generate_partition(config.distribution_spec(), train)
     _note_replacements(partition)
 
     rows = []
     smallest_full: int | None = None
+    # Shuffles are keyed on (seed, round, client id) and a record holds no N,
+    # so N values that select the same clients share one run.
+    runs: dict[tuple[int, ...], RoundRecord] = {}
     for n in n_values:
-        # Only the last round is reported, so only the last round is scored.
         exp = dataclasses.replace(config.experiment_config(), limit=n)
-        rounds = train_rounds(exp, train, partition)
-        for _ in range(exp.rounds - 1):
-            next(rounds)
-        _, last = run_round(rounds, test)
+        key = tuple(sorted(plan(exp, partition.masks, train.num_categories)(1).selected))
+        if key not in runs:
+            # Only the last round is reported, so only the last round is scored.
+            rounds = train_rounds(exp, train, partition)
+            for _ in range(exp.rounds - 1):
+                next(rounds)
+            runs[key] = run_round(rounds, test)[1]
+        last = runs[key]
         rows.append(
             f"{n},{last.selected_k},{last.categories_covered},"
             f"{last.accuracy!r},{last.cumulative_cost!r}"
@@ -223,12 +241,9 @@ def cmd_sweep_n(config_path: str, n_values: list[int]) -> int:
     return 0
 
 
-def cmd_inspect_dataset(config_path: str, split: str) -> int:
-    config = load_config(config_path)
-    root = resolve_data_root(config)
-    splits = ("train", "test") if split == "both" else (split,)
-    for s in splits:
-        ds = load_dataset(DatasetSpec(config.dataset, s, root))
+def cmd_inspect_dataset(config: RunConfig, args: argparse.Namespace) -> int:
+    for s in ("train", "test") if args.split == "both" else (args.split,):
+        ds = _split(config, s)
         counts = ds.class_counts()
         print(f"{ds.name} {s}: {ds.num_samples} samples, {ds.num_categories} classes")
         for c, n in enumerate(counts):
@@ -236,11 +251,9 @@ def cmd_inspect_dataset(config_path: str, split: str) -> int:
     return 0
 
 
-def cmd_trace_selection(config_path: str) -> int:
-    config = load_config(config_path)
+def cmd_trace_selection(config: RunConfig, args: argparse.Namespace) -> int:
     _require_category_strategy(config, "trace-selection")
-    root = resolve_data_root(config)
-    train = load_dataset(DatasetSpec(config.dataset, "train", root))
+    train = _split(config, "train")
     partition = generate_partition(config.distribution_spec(), train)
     experiment = config.experiment_config()
     sel = SelectionConfig(train.num_categories, experiment.mode, experiment.limit)
@@ -255,46 +268,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Category-aware federated averaging simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run the configured experiment")
-    p_run.add_argument("config", help="path to a key = value config file")
-
-    p_part = sub.add_parser("partition", help="generate and export a partition")
-    p_part.add_argument("config")
-
-    p_sweep = sub.add_parser("sweep-n", help="rerun across client limits N")
-    p_sweep.add_argument("config")
-    p_sweep.add_argument(
+    commands = {}
+    for name, handler, text in (
+        ("run", cmd_run, "run the configured experiment"),
+        ("partition", cmd_partition, "generate and export a partition"),
+        ("sweep-n", cmd_sweep_n, "rerun across client limits N"),
+        ("inspect-dataset", cmd_inspect_dataset, "print class histograms"),
+        ("trace-selection", cmd_trace_selection, "print a selection trace"),
+    ):
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].add_argument("config", help="path to a key = value config file")
+        commands[name].set_defaults(handler=handler)
+    commands["sweep-n"].add_argument(
         "--n",
         default="1-25",
         help="comma list of N values, ranges allowed (default 1-25)",
     )
-
-    p_inspect = sub.add_parser("inspect-dataset", help="print class histograms")
-    p_inspect.add_argument("config")
-    p_inspect.add_argument(
+    commands["inspect-dataset"].add_argument(
         "--split", choices=("train", "test", "both"), default="both"
     )
-
-    p_trace = sub.add_parser("trace-selection", help="print a selection trace")
-    p_trace.add_argument("config")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args.config)
-        if args.command == "partition":
-            return cmd_partition(args.config)
-        if args.command == "sweep-n":
-            return cmd_sweep_n(args.config, _parse_n_values(args.n))
-        if args.command == "inspect-dataset":
-            return cmd_inspect_dataset(args.config, args.split)
-        if args.command == "trace-selection":
-            return cmd_trace_selection(args.config)
-        raise AssertionError(args.command)
+        return args.handler(load_config(args.config), args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -178,11 +178,12 @@ def _fedavg_k(fraction: float, num_clients: int) -> int:
     return max(int(np.floor(fraction * num_clients + 0.5)), 1)
 
 
-def _selector(
+def plan(
     config: ExperimentConfig, masks: tuple[CategoryMask, ...], num_categories: int
 ) -> Callable[[int], SelectionResult]:
     """Each round's selection by round index; a category strategy reads only
-    the masks, so it selects once, here."""
+    the masks, so it selects once, here.  ``train_rounds`` selects through
+    this, and ``sweep-n`` reads it to find the N that select the same clients."""
     if config.strategy == "fedavg_random":
         fraction = 0.1 if config.client_fraction is None else config.client_fraction
         k = _fedavg_k(fraction, len(masks))
@@ -202,7 +203,7 @@ def train_rounds(
     """The round loop: train ``config.rounds`` rounds, yielding each new
     global model and its record before it is scored, so the record's
     ``accuracy`` and ``test_loss`` are NaN (``run_round`` fills them in)."""
-    select = _selector(config, partition.masks, train_dataset.num_categories)
+    select = plan(config, partition.masks, train_dataset.num_categories)
     architecture = [train_dataset.images.shape[1], *config.hidden, train_dataset.num_categories]
     model = init_model(architecture, derive_rng(config.seed, STREAM_MODEL_INIT))
     ledger = CostLedger(config.cost)

@@ -15,9 +15,13 @@ import catfed
 from catfed import (
     DatasetSpec,
     DistributionSpec,
+    SelectionConfig,
+    cli,
     generate_partition,
     load_dataset,
     run_experiment,
+    select_cost,
+    select_performance,
 )
 from catfed.cli import (
     CSV_HEADER,
@@ -28,7 +32,7 @@ from catfed.cli import (
 )
 from catfed.config import load_config
 from catfed.datasets import write_idx_images, write_idx_labels
-from catfed.federation import RoundRecord
+from catfed.federation import RoundRecord, train_rounds
 from conftest import assert_export_matches, make_pair
 
 
@@ -106,6 +110,27 @@ class TestRun:
         assert summary.count("seed=") == 3
         assert "mean final_accuracy=" in summary
         assert "std=" in summary
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_summary_names_the_blas_and_its_threads(self, tmp_path, data_root, capsys,
+                                                    monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        cfg = write_config(tmp_path, data_root, output=tmp_path / "blas.csv", seeds=3)
+        assert main(["run", str(cfg)]) == 0
+
+        summary = (tmp_path / "blas.summary.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out.endswith(summary)
+        assert summary.count("seed=") == 3
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        line = summary.splitlines()[-1]
+        assert line.startswith(f"blas={blas['name']} version={blas['version']} ")
+        assert f"configuration={blas['openblas configuration']!r} " in line
+        assert line.endswith(
+            f" OPENBLAS_NUM_THREADS={threads or 'unset'} cpu_count={os.cpu_count()}"
+        )
 
     def test_env_var_data_root(self, tmp_path, data_root, monkeypatch):
         monkeypatch.setenv("CATFED_DATA_ROOT", str(data_root))
@@ -202,6 +227,29 @@ class TestSweepN:
                          f"{last.categories_covered}, accuracy {last.accuracy:.4f}")
         assert out.read_text(encoding="utf-8").splitlines() == rows
         assert printed == lines
+
+    @pytest.mark.parametrize("strategy", ["cat_cost", "cat_performance"])
+    def test_each_distinct_selection_trains_once(self, tmp_path, data_root, monkeypatch,
+                                                 strategy):
+        limits = []
+
+        def counted(exp, train, partition):
+            limits.append(exp.limit)
+            return train_rounds(exp, train, partition)
+
+        monkeypatch.setattr(cli, "train_rounds", counted)
+        cfg = write_config(tmp_path, data_root, output=tmp_path / "sweep.csv",
+                           strategy=strategy, rounds=1)
+        assert main(["sweep-n", str(cfg), "--n", "1-25"]) == 0
+
+        partition = generate_partition(load_config(cfg).distribution_spec(),
+                                       load_dataset(DatasetSpec("mnist", "train", data_root)))
+        select = select_cost if strategy == "cat_cost" else select_performance
+        picks = [tuple(sorted(select(partition.masks, SelectionConfig(10, None, n)).selected))
+                 for n in range(1, 26)]
+        firsts = [n for n, pick in enumerate(picks, 1) if pick not in picks[: n - 1]]
+        assert len(firsts) < 25
+        assert limits == firsts
 
     def test_sweep_rejects_random_strategy(self, tmp_path, data_root, capsys):
         cfg = write_config(

@@ -15,6 +15,7 @@ from catfed import (
 )
 from catfed.cli import records_to_csv
 from catfed.costs import round_cost
+from catfed.network import EvalReport
 from conftest import make_pair
 
 
@@ -132,6 +133,11 @@ class TestDecomposition:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             check_loss_decomposition([])
+
+    def test_reports_without_samples_rejected(self):
+        empty = EvalReport(accuracy=0.0, total_loss=0.0, summed_loss=0.0, num_categories=3)
+        with pytest.raises(ValueError, match="^no samples across the client reports$"):
+            check_loss_decomposition([empty, empty])
 
 
 def test_cost_exactness_small_randomized():

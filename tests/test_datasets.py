@@ -203,8 +203,24 @@ class TestIdxErrors:
         with pytest.raises(DataFormatError, match=f"{rows}x{cols} != 28x28"):
             load_idx_images(path)
 
+    def test_writing_images_of_another_width_refused(self, tmp_path):
+        path = tmp_path / "narrow.idx"
+        with pytest.raises(ValueError, match=r"^expected \(n, 784\) uint8 pixels, got \(2, 783\)$"):
+            write_idx_images(path, np.zeros((2, 783), dtype=np.uint8))
+        assert not path.exists()
+
+    def test_writing_labels_out_of_byte_range_refused(self, tmp_path):
+        path = tmp_path / "wide.idx"
+        with pytest.raises(ValueError, match="^labels must be a 1-d vector of bytes$"):
+            write_idx_labels(path, np.array([0, 256]))
+        assert not path.exists()
+
 
 class TestLoadDataset:
+    def test_unknown_split_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="^split must be 'train' or 'test', got 'validation'$"):
+            DatasetSpec("mnist", "validation", tmp_path)
+
     def test_pairing_and_counts(self, tmp_path):
         rng = np.random.default_rng(1)
         images = rng.integers(0, 256, size=(30, 784), dtype=np.uint8)

@@ -458,3 +458,8 @@ class TestDecompositionDuringRuns:
         out = check_loss_decomposition(reports)
         assert out.relative_gap <= 1e-9
         assert out.undefined_categories == ()
+
+
+def test_negative_seed_refused():
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        derive_rng(-1, STREAM_MODEL_INIT)

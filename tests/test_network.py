@@ -757,3 +757,39 @@ def test_training_reads_intp_labels_in_place():
 def test_eval_report_is_plain_data():
     r = EvalReport(accuracy=0.5, total_loss=1.0, summed_loss=2.0, num_samples=2)
     assert r.accuracy == 0.5 and r.per_category_loss == {}
+
+
+@pytest.mark.parametrize(
+    "weights, biases, message",
+    [
+        ((np.zeros((2, 3)),), (np.zeros(2), np.zeros(1)),
+         "weights and biases must be non-empty and parallel"),
+        ((np.zeros((2, 3)),), (np.zeros(3),), r"layer 0: weight \(2, 3\) / bias \(3,\) mismatch"),
+        ((np.zeros((2, 3)), np.zeros((1, 4))), (np.zeros(2), np.zeros(1)),
+         "layer 1: fan-in 4 != previous fan-out 2"),
+    ],
+    ids=["not-parallel", "shape-mismatch", "fan-in-mismatch"],
+)
+def test_model_params_refuses_inconsistent_layers(weights, biases, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ModelParams(weights=weights, biases=biases)
+
+
+def test_rows_of_another_width_refused():
+    model = init_model([6, 3], np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^batch shape \(2, 5\) incompatible with input width 6$"):
+        evaluate(model, np.zeros((2, 5)), np.zeros(2, dtype=np.intp))
+
+
+def test_train_clients_refuses_a_generator_per_member_mismatch():
+    model = init_model([6, 3], np.random.default_rng(0))
+    members = [np.arange(2), np.arange(2, 4)]
+    with pytest.raises(ValueError, match="^2 members but 1 generators$"):
+        train_clients(model, np.zeros((4, 6)), np.zeros(4, dtype=np.intp), members,
+                      TrainConfig(), [np.random.default_rng(0)], lambda *update: None)
+
+
+def test_evaluate_refuses_an_empty_set():
+    model = init_model([6, 3], np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^evaluation set is empty$"):
+        evaluate(model, np.zeros((0, 6)), np.zeros(0, dtype=np.intp))
